@@ -26,7 +26,7 @@ import numpy as np
 from . import formats, metrics, sim, stream
 from .formats import FormatError, PoseRow
 from .geom import RigidTransform, quat_to_matrix
-from .register import (ABLATION_MODES, RegistrationConfig, run_recording)
+from .register import ABLATION_MODES, RegistrationConfig, run_recording
 from .track import InsufficientMarkersError, KalmanConfig, PoseKalman, track_pose
 
 STREAM_ENV = "VERTEREG_STREAM"
@@ -207,8 +207,6 @@ def cmd_register(args) -> int:
     file_values = _config_values(args.config, _REG_KEYS)
     cfg = _registration_config(args, file_values)
     mode = args.mode or file_values.get("mode", "Full")
-    if mode not in ABLATION_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {ABLATION_MODES}")
 
     rec = formats.LoadedRecording(args.recording)
     out = Path(args.out)
@@ -228,8 +226,12 @@ def cmd_register(args) -> int:
 
     t_start = time.monotonic()
     states = []
-    frames = iter(rec)
-    for state in _run_streaming(frames, rec, cfg, mode, perturbation, streamer):
+    for state in run_recording(rec, rec.models, sim.oracle_segmenter, cfg, mode=mode,
+                               initial_perturbation=perturbation):
+        if streamer is not None:
+            ts_us = round((state.frame_index - 1) / rec.fps * 1e6)
+            streamer.send(stream.encode_packet(state.frame_index, ts_us,
+                                               _state_slots(state)))
         states.append(state)
     elapsed = time.monotonic() - t_start
 
@@ -247,35 +249,6 @@ def cmd_register(args) -> int:
     print(f"registered {len(states)} frames in {elapsed:.2f}s "
           f"({mode} mode) -> {out / 'poses.csv'}")
     return 0
-
-
-def _run_streaming(frames, rec, cfg, mode, perturbation, streamer):
-    """run_recording, but emitting each state (and a datagram) as it lands."""
-    from .register import (_hold, process_interaction_frame,
-                           register_initial_frame)
-    it = iter(frames)
-    first = next(it)
-    state = register_initial_frame(first, rec.models, sim.oracle_segmenter, cfg,
-                                   initial_perturbation=perturbation,
-                                   refine=(mode != "General"))
-    yield from _emit(state, first, rec, streamer)
-    interaction = 0
-    for frame in it:
-        interaction += 1
-        updates_on = mode == "Full" or (mode == "First-60" and interaction <= 60)
-        if updates_on:
-            state = process_interaction_frame(state, frame, rec.models,
-                                              sim.oracle_segmenter, cfg)
-        else:
-            state = _hold(state, frame.index)
-        yield from _emit(state, frame, rec, streamer)
-
-
-def _emit(state, frame, rec, streamer):
-    if streamer is not None:
-        ts_us = round((frame.index - 1) / rec.fps * 1e6)
-        streamer.send(stream.encode_packet(frame.index, ts_us, _state_slots(state)))
-    yield state
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +344,6 @@ def cmd_evaluate(args) -> int:
     (out / "frame_metrics.csv").write_text("\n".join(frame_lines) + "\n")
     (out / "screw_metrics.csv").write_text("\n".join(screw_lines) + "\n")
 
-    def tail_mean(values):
-        return float(np.mean(values[start - 1:]))
-
     target_key = (rec.target_vertebra, rec.target_screw)
     success = metrics.success_rate(perf_series[target_key])
     gt1 = rec.gt_pose(rec.target_vertebra, frames[0])
@@ -388,18 +358,18 @@ def cmd_evaluate(args) -> int:
         "target_vertebra": rec.target_vertebra,
         "target_screw": rec.target_screw,
         "tre_mm": {
-            "per_vertebra": {str(vid): tail_mean(tre_series[vid])
+            "per_vertebra": {str(vid): metrics.recording_tre(tre_series[vid], start)
                              for vid in sorted(tre_series) if tre_series[vid]},
-            "target": tail_mean(tre_series[rec.target_vertebra]),
+            "target": metrics.recording_tre(tre_series[rec.target_vertebra], start),
         },
         "trajectory_error_deg": {
-            "target": tail_mean(traj_series[target_key]),
-            "per_screw": {f"{v}:{s}": tail_mean(vals)
+            "target": metrics.recording_tre(traj_series[target_key], start),
+            "per_screw": {f"{v}:{s}": metrics.recording_tre(vals, start)
                           for (v, s), vals in sorted(traj_series.items())},
         },
         "entry_point_error_mm": {
-            "target": tail_mean(entry_series[target_key]),
-            "per_screw": {f"{v}:{s}": tail_mean(vals)
+            "target": metrics.recording_tre(entry_series[target_key], start),
+            "per_screw": {f"{v}:{s}": metrics.recording_tre(vals, start)
                           for (v, s), vals in sorted(entry_series.items())},
         },
         "success_rate": success,
@@ -426,16 +396,14 @@ def cmd_ablate(args) -> int:
     file_values = _config_values(args.config, _REG_KEYS)
     cfg = _registration_config(args, file_values)
     rec = formats.LoadedRecording(args.recording)
-    frames = list(rec)
     start = (metrics.TRE_START_FRAME
              if rec.frame_count >= metrics.TRE_START_FRAME else 1)
 
-    results = {}
-    for mode in ABLATION_MODES:
-        res = metrics.run_ablation(frames, rec.models, sim.oracle_segmenter,
-                                   cfg, mode, rec.gt_pose)
-        results[mode] = {vid: float(np.mean(series[start - 1:]))
-                         for vid, series in res.tre_series.items()}
+    series = metrics.run_ablation(rec, rec.models, sim.oracle_segmenter, cfg,
+                                  rec.gt_pose)
+    results = {mode: {vid: metrics.recording_tre(values, start)
+                      for vid, values in per_vertebra.items()}
+               for mode, per_vertebra in series.items()}
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -461,8 +429,8 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_serve(args) -> int:
-    rec_meta = json.loads((Path(args.recording) / "recording.json").read_text())
-    fps = args.fps or float(rec_meta["fps"])
+    meta = formats.read_recording_meta(args.recording)
+    fps = args.fps or meta["fps"]
     by_frame = formats.poses_by_frame(formats.read_poses(args.poses))
     drill = {}
     if args.drill_poses:

@@ -18,7 +18,6 @@ byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -477,26 +476,51 @@ def read_orientations(path) -> dict[int, np.ndarray]:
     return out
 
 
+def read_recording_meta(root) -> dict:
+    """Typed contents of a recording directory's ``recording.json``.
+
+    Returns fps, frame_count, seed, tilt_deg, target_vertebra,
+    target_screw, intrinsics and has_tool. A missing file, bad JSON, or a
+    missing or malformed key raises FormatError.
+    """
+    path = Path(root) / "recording.json"
+    try:
+        doc = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise FormatError("recording.json missing", path)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"bad recording JSON: {e.msg}", path, offset=e.pos)
+    try:
+        return {
+            "fps": float(doc["fps"]),
+            "frame_count": int(doc["frames"]),
+            "seed": int(doc["seed"]),
+            "tilt_deg": float(doc.get("tilt_deg", 0.0)),
+            "target_vertebra": int(doc.get("target_vertebra", 3)),
+            "target_screw": int(doc.get("target_screw", 0)),
+            "intrinsics": _intrinsics_from(doc["intrinsics"]),
+            "has_tool": bool(doc.get("has_tool", False)),
+        }
+    except KeyError as e:
+        raise FormatError(f"recording.json lacks key {e.args[0]!r}", path)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bad value in recording.json: {e}", path)
+
+
 class LoadedRecording:
     """Disk-backed recording with the same frame interface as sim.Recording."""
 
     def __init__(self, root):
         self.root = Path(root)
-        try:
-            meta = json.loads((self.root / "recording.json").read_text())
-        except FileNotFoundError:
-            raise FormatError("recording.json missing", self.root / "recording.json")
-        except json.JSONDecodeError as e:
-            raise FormatError(f"bad recording JSON: {e.msg}",
-                              self.root / "recording.json", offset=e.pos)
-        self.fps = float(meta["fps"])
-        self.frame_count = int(meta["frames"])
-        self.seed = int(meta["seed"])
-        self.tilt_deg = float(meta.get("tilt_deg", 0.0))
-        self.target_vertebra = int(meta.get("target_vertebra", 3))
-        self.target_screw = int(meta.get("target_screw", 0))
-        self.intrinsics = _intrinsics_from(meta["intrinsics"])
-        self.has_tool = bool(meta.get("has_tool", False))
+        meta = read_recording_meta(self.root)
+        self.fps = meta["fps"]
+        self.frame_count = meta["frame_count"]
+        self.seed = meta["seed"]
+        self.tilt_deg = meta["tilt_deg"]
+        self.target_vertebra = meta["target_vertebra"]
+        self.target_screw = meta["target_screw"]
+        self.intrinsics = meta["intrinsics"]
+        self.has_tool = meta["has_tool"]
         self.models = [load_model(self.root / "models" / f"vert{i}.ply",
                                   self.root / "models" / f"vert{i}.json")
                        for i in range(1, 6)]

@@ -8,12 +8,12 @@ of updates to settle before being judged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .geom import RigidTransform, quat_to_matrix
-from .register import (ABLATION_MODES, RegistrationConfig, ScrewPlan,
+from .register import (UPDATE_FRAMES, RegistrationConfig, ScrewPlan,
                        VertebraModel, run_recording)
 
 TRE_START_FRAME = 61
@@ -114,35 +114,30 @@ def viewpoint_acceptable(angle_deg: float) -> bool:
     return angle_deg < MAX_VIEWPOINT_ANGLE_DEG
 
 
-@dataclass
-class AblationResult:
-    mode: str
-    # per vertebra id: one TRE value per frame
-    tre_series: dict[int, list[float]]
-
-    def recording_tre(self, vertebra_id: int) -> float:
-        return recording_tre(self.tre_series[vertebra_id])
-
-
-def tre_series_from_states(states, models: list[VertebraModel],
-                           gt_lookup) -> dict[int, list[float]]:
-    """Per-vertebra TRE per frame; ``gt_lookup(vid, frame_index)`` gives truth."""
-    by_id = {m.id: m for m in models}
-    series: dict[int, list[float]] = {m.id: [] for m in models}
-    for state in states:
-        for vid, track in state.vertebrae.items():
-            gt = gt_lookup(vid, state.frame_index)
-            series[vid].append(tre(gt, track.pose, by_id[vid].landmarks))
-    return series
-
-
 def run_ablation(frames, models: list[VertebraModel], segmenter,
-                 cfg: RegistrationConfig, mode: str, gt_lookup,
-                 initial_perturbation: RigidTransform | None = None
-                 ) -> AblationResult:
-    """Run one ablation mode over a recording and collect TRE series."""
-    if mode not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation mode {mode!r}")
-    states = run_recording(frames, models, segmenter, cfg, mode=mode,
-                           initial_perturbation=initial_perturbation)
-    return AblationResult(mode, tre_series_from_states(states, models, gt_lookup))
+                 cfg: RegistrationConfig, gt_lookup
+                 ) -> dict[str, dict[int, list[float]]]:
+    """Per-mode, per-vertebra TRE series from one streamed pass over ``frames``.
+
+    Full runs once. A mode that updates for the first n interaction frames
+    (``UPDATE_FRAMES``) follows Full up to interaction frame n and holds
+    that state afterwards; General holds the state of its own initial
+    frame, which skips refinement. ``gt_lookup(vid, frame_index)`` gives
+    the true pose.
+    """
+    by_id = {m.id: m for m in models}
+    it = iter(frames)
+    first = next(it)
+    held = {"General": next(run_recording([first], models, segmenter, cfg,
+                                          mode="General"))}
+    series = {mode: {m.id: [] for m in models} for mode in UPDATE_FRAMES}
+    full = run_recording(chain([first], it), models, segmenter, cfg, mode="Full")
+    for interaction, state in enumerate(full):
+        for mode, limit in UPDATE_FRAMES.items():
+            if interaction == limit:
+                held.setdefault(mode, state)
+            shown = held.get(mode, state)
+            for vid, track in shown.vertebrae.items():
+                gt = gt_lookup(vid, state.frame_index)
+                series[mode][vid].append(tre(gt, track.pose, by_id[vid].landmarks))
+    return series

@@ -15,15 +15,20 @@ occlusion instead of dragging them toward the occluder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cloud import (EmptyCloudError, NearestNeighborIndex, centroid,
                     depth_to_cloud, largest_component)
-from .geom import RigidTransform, pose_difference, quat_normalize, umeyama
+from .geom import (RigidTransform, pose_difference, quat_mul, quat_normalize,
+                   umeyama)
 
-ABLATION_MODES = ("General", "Refinement", "First-60", "Full")
+# Interaction frames that update in each ablation mode (None: every frame);
+# General also skips the per-vertebra refinement of the initial frame.
+UPDATE_FRAMES = {"General": 0, "Refinement": 0, "First-60": 60, "Full": None}
+ABLATION_MODES = tuple(UPDATE_FRAMES)
 
 
 class NoOverlapError(RuntimeError):
@@ -146,14 +151,15 @@ def _gated_pairs(index: NearestNeighborIndex, src: np.ndarray, gate: float,
                  strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     qidx, ridx, dist = index.query(src, gate)
     if strict:
+        # scipy keeps d**2 < gate**2, but sqrt(d**2) can round up to the gate
         keep = dist < gate
         return qidx[keep], ridx[keep], dist[keep]
     return qidx, ridx, dist
 
 
 def general_alignment(reg_points: np.ndarray, t_init: RigidTransform,
-                      pc_s: np.ndarray, cfg: RegistrationConfig,
-                      index: NearestNeighborIndex | None = None) -> RigidTransform:
+                      index: NearestNeighborIndex, cfg: RegistrationConfig
+                      ) -> RigidTransform:
     """En-bloc ICP of the combined model points against the segmented cloud.
 
     Correspondences are capped at ``general_max_corr``; iteration stops
@@ -162,8 +168,6 @@ def general_alignment(reg_points: np.ndarray, t_init: RigidTransform,
     with the ICP correction).
     """
     src = np.asarray(reg_points, dtype=float).reshape(-1, 3)
-    if index is None:
-        index = NearestNeighborIndex(pc_s)
     pose = t_init.normalized()
     identity = RigidTransform.identity()
     for it in range(cfg.general_max_iters):
@@ -184,8 +188,7 @@ def general_alignment(reg_points: np.ndarray, t_init: RigidTransform,
 
 
 def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
-                     pc_s: np.ndarray, cfg: RegistrationConfig,
-                     index: NearestNeighborIndex | None = None
+                     index: NearestNeighborIndex, cfg: RegistrationConfig
                      ) -> tuple[RigidTransform, int]:
     """Per-vertebra ICP from the general alignment, 2 mm strict inlier gate.
 
@@ -195,8 +198,6 @@ def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
     disables the early stop. Returns the refined pose and the inlier count
     at that pose, which becomes the update-gate baseline.
     """
-    if index is None:
-        index = NearestNeighborIndex(pc_s)
     src = model.reg_points
     pose = t_gen.normalized()
     prev_mean = np.inf
@@ -246,8 +247,9 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
     Runs segmentation, largest-component selection, cloud conversion, the
     pose prior, general alignment and (unless ``refine`` is False, used by
     the ablation modes) per-vertebra refinement. ``initial_perturbation``
-    is composed onto the pose prior; it exists to stress-test convergence
-    from a degraded initialization.
+    degrades the pose prior to stress-test convergence: its rotation turns
+    the prior about the prior's own centre, the centroid of the segmented
+    cloud, and its translation shifts that centre.
     """
     mask, q_p = segmenter(frame)
     comp = largest_component(mask)
@@ -259,11 +261,13 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
 
     t_init = initial_pose(pc_s, q_p)
     if initial_perturbation is not None:
-        t_init = initial_perturbation.compose(t_init)
+        t_init = RigidTransform(
+            quat_normalize(quat_mul(initial_perturbation.q, t_init.q)),
+            t_init.t + initial_perturbation.t)
 
     index = NearestNeighborIndex(pc_s)
     combined = np.vstack([m.reg_points for m in models])
-    t_gen = general_alignment(combined, t_init, pc_s, cfg, index=index)
+    t_gen = general_alignment(combined, t_init, index, cfg)
 
     vertebrae: dict[int, VertebraTrack] = {}
     for model in sorted(models, key=lambda m: m.id):
@@ -271,7 +275,7 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
             vertebrae[model.id] = VertebraTrack(t_gen, 0, True, False)
             continue
         try:
-            pose, baseline = piecewise_refine(model, t_gen, pc_s, cfg, index=index)
+            pose, baseline = piecewise_refine(model, t_gen, index, cfg)
             vertebrae[model.id] = VertebraTrack(pose, baseline, True, False,
                                                 inliers=baseline)
         except RefinementDegenerateError:
@@ -305,29 +309,29 @@ def _hold(state: RegistrationState, frame_index: int) -> RegistrationState:
 def run_recording(frames, models: list[VertebraModel], segmenter,
                   cfg: RegistrationConfig, mode: str = "Full",
                   initial_perturbation: RigidTransform | None = None
-                  ) -> list[RegistrationState]:
+                  ) -> Iterator[RegistrationState]:
     """Run the pipeline over a frame sequence in one of the ablation modes.
 
-    ``General`` stops after en-bloc alignment, ``Refinement`` adds the
-    per-vertebra refinement but never updates, ``First-60`` updates for the
-    first 60 interaction frames only, and ``Full`` updates throughout.
-    Returns one state per frame.
+    A generator: it yields one state per frame as soon as that frame is
+    registered, and reads the next frame only when asked for the next
+    state. ``UPDATE_FRAMES`` holds the modes: ``General`` stops after
+    en-bloc alignment, ``Refinement`` adds the per-vertebra refinement but
+    never updates, ``First-60`` updates for the first 60 interaction frames
+    only, and ``Full`` updates throughout. A frame that does not update
+    holds the previous poses.
     """
     if mode not in ABLATION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {ABLATION_MODES}")
+    limit = UPDATE_FRAMES[mode]
     it = iter(frames)
     first = next(it)
     state = register_initial_frame(first, models, segmenter, cfg,
                                    initial_perturbation=initial_perturbation,
                                    refine=(mode != "General"))
-    states = [state]
-    interaction = 0
-    for frame in it:
-        interaction += 1
-        updates_on = mode == "Full" or (mode == "First-60" and interaction <= 60)
-        if updates_on:
+    yield state
+    for interaction, frame in enumerate(it, start=1):
+        if limit is None or interaction <= limit:
             state = process_interaction_frame(state, frame, models, segmenter, cfg)
         else:
             state = _hold(state, frame.index)
-        states.append(state)
-    return states
+        yield state

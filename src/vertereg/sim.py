@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import CameraIntrinsics, select_posterior_visible
-from .geom import (RigidTransform, axis_angle_quat, quat_mul, quat_normalize,
-                   random_unit_quat)
+from .geom import RigidTransform, axis_angle_quat, quat_mul, random_unit_quat
 from .maskgen import render_depth, smooth_mask, synth_mask
 from .register import ScrewPlan, VertebraModel
 from .track import MarkerObservation, StereoRig

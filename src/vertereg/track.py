@@ -9,7 +9,7 @@ and per hemisphere-aligned quaternion component).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
