@@ -105,21 +105,10 @@ class NearestNeighborIndex:
         """
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         dist, idx = self._tree.query(queries, k=1, distance_upper_bound=max_dist,
-                                     workers=-1)
+                                     workers=1)
         found = np.isfinite(dist)
         qidx = np.nonzero(found)[0]
         return qidx, idx[found], dist[found]
-
-
-def nearest_neighbors(reference: np.ndarray, queries: np.ndarray,
-                      max_dist: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact nearest-neighbor correspondences, capped at max_dist.
-
-    Equivalent to exhaustive search; returns (query_indices,
-    reference_indices, distances) for queries whose nearest reference
-    point lies within max_dist.
-    """
-    return NearestNeighborIndex(reference).query(queries, max_dist)
 
 
 def select_posterior_visible(points: np.ndarray, normals: np.ndarray,

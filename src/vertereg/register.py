@@ -11,12 +11,19 @@ Subsequent interaction frames receive a single gated refinement step per
 vertebra: a vertebra is only moved when it still shows at least 90 % of the
 inlier count it had when refinement finished, which freezes poses under
 occlusion instead of dragging them toward the occluder.
+
+Every stage matches scene points into the model: the segmented cloud is
+mapped into the model frame by the inverse pose and each of its points
+takes its nearest registration point from a KD-tree built once, over the
+models, not per frame. An inlier count is therefore the number of scene
+points within the gate of the posed model, and the update gate compares two
+counts of that one kind.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +80,9 @@ class VertebraModel:
     ``points``/``normals`` hold the full sampled surface, ``reg_points`` the
     posterior-visible subset actually used for registration, ``landmarks``
     the three evaluation landmarks (spinous process tip, left and right
-    transverse process tips).
+    transverse process tips). ``index`` is the KD-tree over ``reg_points``
+    that every registration stage matches scene points into; it is built
+    once here, so ``reg_points`` must not be reassigned afterwards.
     """
 
     id: int
@@ -83,6 +92,7 @@ class VertebraModel:
     landmarks: np.ndarray
     pedicle_indices: np.ndarray
     screw_plans: tuple[ScrewPlan, ...]
+    index: NearestNeighborIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -95,6 +105,7 @@ class VertebraModel:
         if self.landmarks.shape[0] != 3:
             raise ValueError(f"vertebra {self.id}: expected 3 landmarks, "
                              f"got {self.landmarks.shape[0]}")
+        self.index = NearestNeighborIndex(self.reg_points)
 
     @property
     def pedicle_points(self) -> np.ndarray:
@@ -110,6 +121,7 @@ class RegistrationConfig:
     piecewise_max_iters: int = 50
     piecewise_force_full_iters: bool = False
     update_gate: float = 0.9             # fraction of the refinement baseline
+                                         # (scene points within the inlier gate)
 
     def __post_init__(self):
         if min(self.general_max_corr, self.piecewise_inlier) <= 0:
@@ -123,7 +135,8 @@ class VertebraTrack:
     """Per-vertebra registration state across frames."""
 
     pose: RigidTransform
-    baseline_inliers: int    # inlier count at the end of piecewise refinement
+    baseline_inliers: int    # scene points within the inlier gate of the posed
+                             # model at the end of piecewise refinement
     updated: bool            # pose moved this frame
     frozen: bool             # refinement was degenerate; never updated again
     inliers: int = 0         # inlier count observed this frame
@@ -147,39 +160,45 @@ def initial_pose(pc_s: np.ndarray, q_p: np.ndarray) -> RigidTransform:
     return RigidTransform(quat_normalize(q_p), centroid(pc_s))
 
 
-def _gated_pairs(index: NearestNeighborIndex, src: np.ndarray, gate: float,
-                 strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    qidx, ridx, dist = index.query(src, gate)
+def _gated_pairs(index: NearestNeighborIndex, pose: RigidTransform,
+                 scene: np.ndarray, gate: float, strict: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scene points within ``gate`` of the model posed by ``pose``.
+
+    The scene is mapped into the model frame by the inverse pose and each
+    of its points takes its nearest point of ``index``. Returns (model
+    indices, scene indices, distances).
+    """
+    sidx, midx, dist = index.query(pose.inverse().apply(scene), gate)
     if strict:
         # scipy keeps d**2 < gate**2, but sqrt(d**2) can round up to the gate
         keep = dist < gate
-        return qidx[keep], ridx[keep], dist[keep]
-    return qidx, ridx, dist
+        return midx[keep], sidx[keep], dist[keep]
+    return midx, sidx, dist
 
 
-def general_alignment(reg_points: np.ndarray, t_init: RigidTransform,
-                      index: NearestNeighborIndex, cfg: RegistrationConfig
+def general_alignment(index: NearestNeighborIndex, t_init: RigidTransform,
+                      scene: np.ndarray, cfg: RegistrationConfig
                       ) -> RigidTransform:
-    """En-bloc ICP of the combined model points against the segmented cloud.
+    """En-bloc ICP of the combined models (indexed by ``index``) to the scene.
 
     Correspondences are capped at ``general_max_corr``; iteration stops
     after ``general_max_iters`` rounds or when the incremental transform
     change drops below ``epsilon``. Returns the full pose (prior composed
     with the ICP correction).
     """
-    src = np.asarray(reg_points, dtype=float).reshape(-1, 3)
     pose = t_init.normalized()
     identity = RigidTransform.identity()
     for it in range(cfg.general_max_iters):
-        cur = pose.apply(src)
-        qidx, ridx, _ = _gated_pairs(index, cur, cfg.general_max_corr, strict=False)
-        if qidx.size < 3:
+        midx, sidx, _ = _gated_pairs(index, pose, scene, cfg.general_max_corr,
+                                     strict=False)
+        if midx.size < 3:
             if it == 0:
                 raise NoOverlapError(
                     f"no correspondences within {cfg.general_max_corr} mm at the "
                     "initial pose")
             break
-        delta = umeyama(cur[qidx], index.reference[ridx])
+        delta = umeyama(pose.apply(index.reference[midx]), scene[sidx])
         pose = delta.compose(pose)
         angle, dist = pose_difference(delta, identity)
         if angle + dist < cfg.epsilon:
@@ -188,7 +207,7 @@ def general_alignment(reg_points: np.ndarray, t_init: RigidTransform,
 
 
 def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
-                     index: NearestNeighborIndex, cfg: RegistrationConfig
+                     scene: np.ndarray, cfg: RegistrationConfig
                      ) -> tuple[RigidTransform, int]:
     """Per-vertebra ICP from the general alignment, 2 mm strict inlier gate.
 
@@ -198,43 +217,41 @@ def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
     disables the early stop. Returns the refined pose and the inlier count
     at that pose, which becomes the update-gate baseline.
     """
-    src = model.reg_points
     pose = t_gen.normalized()
     prev_mean = np.inf
     for it in range(cfg.piecewise_max_iters):
-        cur = pose.apply(src)
-        qidx, ridx, dist = _gated_pairs(index, cur, cfg.piecewise_inlier, strict=True)
-        if qidx.size < 3:
+        midx, sidx, dist = _gated_pairs(model.index, pose, scene,
+                                        cfg.piecewise_inlier, strict=True)
+        if midx.size < 3:
             raise RefinementDegenerateError(model.id, it)
         mean = float(dist.mean())
         if not cfg.piecewise_force_full_iters and prev_mean - mean <= cfg.epsilon:
-            return pose, int(qidx.size)
-        delta = umeyama(cur[qidx], index.reference[ridx])
+            return pose, int(midx.size)
+        delta = umeyama(pose.apply(model.reg_points[midx]), scene[sidx])
         pose = delta.compose(pose)
         prev_mean = mean
     # all iterations ran; the baseline is the count at the final pose
-    cur = pose.apply(src)
-    qidx, _, _ = _gated_pairs(index, cur, cfg.piecewise_inlier, strict=True)
-    if qidx.size < 3:
+    midx, _, _ = _gated_pairs(model.index, pose, scene, cfg.piecewise_inlier,
+                              strict=True)
+    if midx.size < 3:
         raise RefinementDegenerateError(model.id, cfg.piecewise_max_iters)
-    return pose, int(qidx.size)
+    return pose, int(midx.size)
 
 
-def update_pose(track: VertebraTrack, model: VertebraModel,
-                index: NearestNeighborIndex, cfg: RegistrationConfig
-                ) -> VertebraTrack:
+def update_pose(track: VertebraTrack, model: VertebraModel, scene: np.ndarray,
+                cfg: RegistrationConfig) -> VertebraTrack:
     """Single gated refinement step for one vertebra on a new frame.
 
     The pose only moves when the current inlier count reaches
     ``update_gate`` times the refinement baseline; otherwise the previous
     pose is returned untouched.
     """
-    cur = track.pose.apply(model.reg_points)
-    qidx, ridx, _ = _gated_pairs(index, cur, cfg.piecewise_inlier, strict=True)
-    count = int(qidx.size)
+    midx, sidx, _ = _gated_pairs(model.index, track.pose, scene,
+                                 cfg.piecewise_inlier, strict=True)
+    count = int(midx.size)
     if count < 3 or count < cfg.update_gate * track.baseline_inliers:
         return replace(track, updated=False, inliers=count)
-    delta = umeyama(cur[qidx], index.reference[ridx])
+    delta = umeyama(track.pose.apply(model.reg_points[midx]), scene[sidx])
     return replace(track, pose=delta.compose(track.pose), updated=True, inliers=count)
 
 
@@ -265,9 +282,8 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
             quat_normalize(quat_mul(initial_perturbation.q, t_init.q)),
             t_init.t + initial_perturbation.t)
 
-    index = NearestNeighborIndex(pc_s)
-    combined = np.vstack([m.reg_points for m in models])
-    t_gen = general_alignment(combined, t_init, index, cfg)
+    combined = NearestNeighborIndex(np.vstack([m.reg_points for m in models]))
+    t_gen = general_alignment(combined, t_init, pc_s, cfg)
 
     vertebrae: dict[int, VertebraTrack] = {}
     for model in sorted(models, key=lambda m: m.id):
@@ -275,7 +291,7 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
             vertebrae[model.id] = VertebraTrack(t_gen, 0, True, False)
             continue
         try:
-            pose, baseline = piecewise_refine(model, t_gen, index, cfg)
+            pose, baseline = piecewise_refine(model, t_gen, pc_s, cfg)
             vertebrae[model.id] = VertebraTrack(pose, baseline, True, False,
                                                 inliers=baseline)
         except RefinementDegenerateError:
@@ -286,17 +302,20 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
 def process_interaction_frame(state: RegistrationState, frame,
                               models: list[VertebraModel], segmenter,
                               cfg: RegistrationConfig) -> RegistrationState:
-    """Gated per-vertebra pose update on an interaction frame."""
+    """Gated per-vertebra pose update on an interaction frame.
+
+    Builds no KD-tree: the models carry theirs. An empty cloud gives every
+    vertebra zero inliers, so every vertebra holds.
+    """
     mask, _ = segmenter(frame)
     pc_s = depth_to_cloud(frame.depth, frame.intrinsics, mask)
     by_id = {m.id: m for m in models}
     vertebrae: dict[int, VertebraTrack] = {}
-    index = NearestNeighborIndex(pc_s) if pc_s.shape[0] > 0 else None
     for vid, track in state.vertebrae.items():
-        if track.frozen or index is None:
+        if track.frozen:
             vertebrae[vid] = replace(track, updated=False, inliers=0)
             continue
-        vertebrae[vid] = update_pose(track, by_id[vid], index, cfg)
+        vertebrae[vid] = update_pose(track, by_id[vid], pc_s, cfg)
     return RegistrationState(vertebrae, frame.index)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import CameraIntrinsics, select_posterior_visible
-from .geom import RigidTransform, axis_angle_quat, quat_mul, random_unit_quat
+from .geom import RigidTransform, axis_angle_quat, quat_mul
 from .maskgen import render_depth, smooth_mask, synth_mask
 from .register import ScrewPlan, VertebraModel
 from .track import MarkerObservation, StereoRig
@@ -475,10 +475,3 @@ def perturbation(rng: np.random.Generator, angle_rad: float,
     direction /= np.linalg.norm(direction)
     return RigidTransform(axis_angle_quat(axis, angle_rad),
                           direction * translation_mm)
-
-
-def random_pose(rng: np.random.Generator, translation_scale: float = 100.0
-                ) -> RigidTransform:
-    """Uniform random rotation with a Gaussian translation (test helper)."""
-    return RigidTransform(random_unit_quat(rng),
-                          rng.normal(0.0, translation_scale, size=3))

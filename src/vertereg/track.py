@@ -199,7 +199,3 @@ class PoseKalman:
         smoothed_q = quat_normalize(smoothed_q)
         self._last_q = smoothed_q
         return RigidTransform(smoothed_q, smoothed_t)
-
-    def covariances(self) -> list[np.ndarray]:
-        """Per-channel covariance matrices (diagnostics)."""
-        return [f.p.copy() for f in self._filters if f.p is not None]

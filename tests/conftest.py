@@ -30,7 +30,7 @@ def bake_selfconsistent_models(scene, seed=0):
     depth = maskgen.render_depth(posed, intr)
     pts = cloud.depth_to_cloud(depth, intr)
     # assign each cloud point to the vertebra that produced its pixel
-    idx = cloud.nearest_neighbors(posed, pts, max_dist=np.inf)[1]
+    idx = cloud.NearestNeighborIndex(posed).query(pts, np.inf)[1]
     inv = base.inverse()
     models = []
     for m in scene.models:

@@ -71,7 +71,7 @@ class TestDepthToCloud:
         depth = maskgen.render_depth(pts, INTR)
         back = cloud.depth_to_cloud(depth, INTR)
         # every reconstructed point lies within half a pixel footprint of a true point
-        _, _, dist = cloud.nearest_neighbors(pts, back, max_dist=np.inf)
+        _, _, dist = cloud.NearestNeighborIndex(pts).query(back, np.inf)
         footprint = 550.0 / INTR.fx
         assert dist.max() <= 0.5 * footprint * math.sqrt(2.0) + 1e-9
 
@@ -138,24 +138,24 @@ class TestLargestComponent:
 class TestNearestNeighbors:
     def test_exact_hit(self):
         ref = np.array([[0.0, 0, 0], [5.0, 0, 0]])
-        qidx, ridx, dist = cloud.nearest_neighbors(ref, [[5.0, 0, 0]], 1.0)
+        qidx, ridx, dist = cloud.NearestNeighborIndex(ref).query([[5.0, 0, 0]], 1.0)
         assert list(qidx) == [0] and list(ridx) == [1]
         assert dist[0] == 0.0
 
     def test_max_dist_zero_disjoint(self):
         ref = np.array([[0.0, 0, 0]])
-        qidx, _, _ = cloud.nearest_neighbors(ref, [[1.0, 0, 0]], 0.0)
+        qidx, _, _ = cloud.NearestNeighborIndex(ref).query([[1.0, 0, 0]], 0.0)
         assert qidx.size == 0
 
     def test_empty_reference(self):
         with pytest.raises(cloud.EmptyCloudError):
-            cloud.nearest_neighbors(np.zeros((0, 3)), [[0.0, 0, 0]], 1.0)
+            cloud.NearestNeighborIndex(np.zeros((0, 3)))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         ref = rng.uniform(0, 100, (5000, 3))
         queries = rng.uniform(0, 100, (1000, 3))
-        qidx, ridx, dist = cloud.nearest_neighbors(ref, queries, 5.0)
+        qidx, ridx, dist = cloud.NearestNeighborIndex(ref).query(queries, 5.0)
         full = np.linalg.norm(queries[:, None] - ref[None], axis=-1)
         brute_idx = full.argmin(axis=1)
         brute_dist = full.min(axis=1)
@@ -169,9 +169,9 @@ class TestNearestNeighbors:
         small = rng.uniform(0, 50, (200, 3))
         extra = rng.uniform(0, 50, (300, 3))
         queries = rng.uniform(0, 50, (100, 3))
-        _, _, d_small = cloud.nearest_neighbors(small, queries, np.inf)
-        _, _, d_big = cloud.nearest_neighbors(np.vstack([small, extra]),
-                                              queries, np.inf)
+        _, _, d_small = cloud.NearestNeighborIndex(small).query(queries, np.inf)
+        _, _, d_big = cloud.NearestNeighborIndex(np.vstack([small, extra])).query(
+            queries, np.inf)
         assert (d_big <= d_small + 1e-12).all()
 
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import StaticFrames, bake_selfconsistent_models
 from vertereg import cloud, register, sim
-from vertereg.geom import RigidTransform, axis_angle_quat
+from vertereg.geom import RigidTransform, axis_angle_quat, random_unit_quat
 
 
 def test_run_recording_yields_first_state_before_reading_frame_two(coarse_scene,
@@ -37,27 +39,27 @@ def test_pairs_reported_at_exactly_the_gate_are_not_inliers():
     # gate itself; at 2.5 mm (unlike a power of two) that happens often
     cfg = register.RegistrationConfig(piecewise_inlier=2.5)
     gate = cfg.piecewise_inlier
-    scene = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
-    index = cloud.NearestNeighborIndex(scene)
-    rng = np.random.default_rng(0)
-    model_pts = []
-    for ref in scene:
-        u = rng.normal(size=(200, 3))
-        candidates = ref + gate * u / np.linalg.norm(u, axis=1)[:, None]
-        qidx, _, dist = index.query(candidates, gate)
-        model_pts.append(candidates[qidx[dist == gate][0]])
-    model_pts = np.array(model_pts)
-    qidx, ridx, dist = index.query(model_pts, gate)
-    assert qidx.tolist() == ridx.tolist() == [0, 1, 2]
-    assert np.all(dist == gate)
-
+    model_pts = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
     model = register.VertebraModel(
         id=1, points=model_pts, normals=np.zeros_like(model_pts),
         reg_points=model_pts, landmarks=model_pts,
         pedicle_indices=np.array([], dtype=np.int64), screw_plans=())
+    rng = np.random.default_rng(0)
+    scene = []
+    for ref in model_pts:
+        u = rng.normal(size=(200, 3))
+        candidates = ref + gate * u / np.linalg.norm(u, axis=1)[:, None]
+        qidx, _, dist = model.index.query(candidates, gate)
+        scene.append(candidates[qidx[dist == gate][0]])
+    scene = np.array(scene)
+    # at the identity pose the scene enters the model frame unchanged
+    qidx, ridx, dist = model.index.query(scene, gate)
+    assert qidx.tolist() == ridx.tolist() == [0, 1, 2]
+    assert np.all(dist == gate)
+
     track = register.VertebraTrack(RigidTransform.identity(), baseline_inliers=0,
                                    updated=True, frozen=False)
-    out = register.update_pose(track, model, index, cfg)
+    out = register.update_pose(track, model, scene, cfg)
     assert out.inliers == 0
     assert not out.updated
     assert out.pose is track.pose
@@ -72,7 +74,7 @@ def _prior(monkeypatch, frame, models, cfg, perturbation):
     """The pose prior register_initial_frame hands to general alignment."""
     seen = []
 
-    def capture(reg_points, t_init, index, cfg):
+    def capture(index, t_init, scene, cfg):
         seen.append(t_init)
         return t_init
 
@@ -104,3 +106,98 @@ def test_perturbation_translation_matches_composed_prior(
     want = shift.compose(base)
     np.testing.assert_array_equal(got.q, want.q)
     np.testing.assert_array_equal(got.t, want.t)
+
+
+@pytest.mark.parametrize("gate,strict", [(2.0, True), (5.0, False)])
+def test_matcher_pairs_match_brute_force_over_posed_model(coarse_scene, gate, strict):
+    rng = np.random.default_rng(3)
+    model = coarse_scene.models[1]
+    pose = RigidTransform(random_unit_quat(rng), rng.normal(0.0, 50.0, 3))
+    posed = pose.apply(model.reg_points)
+    near = posed[rng.choice(posed.shape[0], 400)] + rng.normal(0.0, 1.5, (400, 3))
+    far = posed.mean(axis=0) + rng.normal(0.0, 60.0, (100, 3))
+    scene = np.vstack([near, far])
+
+    midx, sidx, dist = register._gated_pairs(model.index, pose, scene, gate, strict)
+
+    full = np.linalg.norm(scene[:, None] - posed[None], axis=-1)
+    brute_dist = full.min(axis=1)
+    keep = brute_dist < gate
+    assert 0 < keep.sum() < scene.shape[0]
+    np.testing.assert_array_equal(sidx, np.nonzero(keep)[0])
+    np.testing.assert_array_equal(midx, full.argmin(axis=1)[keep])
+    np.testing.assert_allclose(dist, brute_dist[keep], rtol=0, atol=1e-9)
+
+
+def _initial_cloud(frame):
+    mask, _ = sim.oracle_segmenter(frame)
+    return cloud.depth_to_cloud(frame.depth, frame.intrinsics,
+                                cloud.largest_component(mask))
+
+
+@pytest.mark.parametrize("force_full", [False, True])
+def test_refinement_baseline_is_the_matcher_count_at_the_refined_pose(
+        initial_frame, coarse_scene, force_full):
+    cfg = register.RegistrationConfig(piecewise_force_full_iters=force_full,
+                                      piecewise_max_iters=4 if force_full else 50)
+    state = register.register_initial_frame(initial_frame, coarse_scene.models,
+                                            sim.oracle_segmenter, cfg)
+    scene = _initial_cloud(initial_frame)
+    for model in coarse_scene.models:
+        track = state.vertebrae[model.id]
+        midx, _, _ = register._gated_pairs(model.index, track.pose, scene,
+                                           cfg.piecewise_inlier, strict=True)
+        assert track.baseline_inliers == track.inliers == midx.size > 0
+
+
+@pytest.fixture(scope="module")
+def occluded_pair(coarse_scene):
+    """Frame 1 clear, frame 2 behind a box over vertebrae 2-4 (about 33 mm apart)."""
+    occluder = sim.Occluder(2, 2, (0.0, 0.0, 300.0), (40.0, 40.0, 20.0))
+    rec = sim.render_recording(coarse_scene,
+                               sim.RecordingSpec(frames=2, occluders=[occluder]),
+                               seed=0)
+    first = register.register_initial_frame(rec.frame(1), coarse_scene.models,
+                                            sim.oracle_segmenter,
+                                            register.RegistrationConfig())
+    return first, rec.frame(2)
+
+
+def test_occluded_middle_vertebrae_hold_while_the_others_update(
+        occluded_pair, coarse_scene, default_cfg):
+    first, frame = occluded_pair
+    state = register.process_interaction_frame(first, frame, coarse_scene.models,
+                                               sim.oracle_segmenter, default_cfg)
+    for vid, track in state.vertebrae.items():
+        before = first.vertebrae[vid]
+        if vid in (2, 3, 4):
+            assert not track.updated
+            assert track.inliers < default_cfg.update_gate * before.baseline_inliers
+            np.testing.assert_array_equal(track.pose.q, before.pose.q)
+            np.testing.assert_array_equal(track.pose.t, before.pose.t)
+        else:
+            assert track.updated
+
+
+def test_interaction_frame_builds_no_kd_tree(monkeypatch, occluded_pair,
+                                             coarse_scene, default_cfg):
+    first, frame = occluded_pair
+    built = []
+    build = cloud.NearestNeighborIndex.__init__
+
+    def counting(self, reference):
+        built.append(len(reference))
+        build(self, reference)
+
+    monkeypatch.setattr(cloud.NearestNeighborIndex, "__init__", counting)
+    register.process_interaction_frame(first, frame, coarse_scene.models,
+                                       sim.oracle_segmenter, default_cfg)
+    # an empty cloud holds every vertebra
+    blank = replace(frame, oracle_mask=np.zeros_like(frame.oracle_mask))
+    state = register.process_interaction_frame(first, blank, coarse_scene.models,
+                                               sim.oracle_segmenter, default_cfg)
+    assert built == []
+    for vid, track in state.vertebrae.items():
+        assert (track.updated, track.inliers) == (False, 0)
+        assert track.pose is first.vertebrae[vid].pose
+
