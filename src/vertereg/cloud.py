@@ -95,6 +95,8 @@ class NearestNeighborIndex:
         if reference.shape[0] == 0:
             raise EmptyCloudError("cannot index an empty reference cloud")
         self.reference = reference
+        self._lo = reference.min(axis=0)
+        self._hi = reference.max(axis=0)
         self._tree = cKDTree(reference)
 
     def query(self, queries: np.ndarray, max_dist: float
@@ -104,11 +106,17 @@ class NearestNeighborIndex:
         Returns (query_indices, reference_indices, distances).
         """
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
-        dist, idx = self._tree.query(queries, k=1, distance_upper_bound=max_dist,
-                                     workers=1)
+        # a query outside the reference's bounding box widened by max_dist
+        # has no neighbour within max_dist, so only the rest go to the tree;
+        # the widening is rounded outwards, so no pair is lost to rounding
+        pad = max_dist * (1.0 + 1e-9)
+        lo = np.nextafter(self._lo - pad, -np.inf)
+        hi = np.nextafter(self._hi + pad, np.inf)
+        near = np.flatnonzero(((queries >= lo) & (queries <= hi)).all(axis=1))
+        dist, idx = self._tree.query(queries[near], k=1,
+                                     distance_upper_bound=max_dist, workers=1)
         found = np.isfinite(dist)
-        qidx = np.nonzero(found)[0]
-        return qidx, idx[found], dist[found]
+        return near[found], idx[found], dist[found]
 
 
 def select_posterior_visible(points: np.ndarray, normals: np.ndarray,

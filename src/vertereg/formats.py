@@ -6,13 +6,30 @@ All binary formats are little-endian and fully specified here:
   width*height u16 values row-major (0 = invalid pixel);
 - masks: magic ``MSK1``, u32 width, u32 height, then bit-packed rows,
   each row padded to a byte boundary;
-- models: ASCII PLY (x y z nx ny nz) plus a JSON sidecar with landmarks,
-  pedicle point indices and screw plans;
+- models: a PLY file plus a JSON sidecar. The PLY header is fixed, byte
+  for byte::
+
+      ply
+      format binary_little_endian 1.0
+      element vertex <n>
+      property double x
+      property double y
+      property double z
+      property double nx
+      property double ny
+      property double nz
+      end_header
+
+  with one ``\\n`` after each line and ``<n>`` in decimal without leading
+  zeros. Exactly n*48 bytes follow: one row of six f64 values per vertex,
+  all finite. ASCII and float32 PLYs are rejected. The sidecar holds the id,
+  landmarks, pedicle point indices, registration point indices and screw
+  plans;
 - poses: CSV ``frame,vertebra,valid,updated,qw,qx,qy,qz,tx,ty,tz``;
 - config: ``key = value`` lines, ``#`` comments, unknown keys rejected.
 
-Floats are written with ``repr`` so write-read-write round trips are
-byte-identical.
+Floats in text files are written with ``repr`` and model vertices as their
+f64 bytes, so write-read-write round trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim
-from .cloud import CameraIntrinsics, select_posterior_visible
+from .cloud import CameraIntrinsics
 from .geom import RigidTransform
 from .register import ScrewPlan, VertebraModel
 from .track import MarkerObservation, StereoRig
@@ -119,64 +136,52 @@ def read_mask(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# models (ASCII PLY + JSON sidecar)
+# models (binary PLY + JSON sidecar)
 # ---------------------------------------------------------------------------
 
 _PLY_PROPERTIES = ["x", "y", "z", "nx", "ny", "nz"]
+_PLY_HEADER = ["ply", "format binary_little_endian 1.0", "element vertex {n}",
+               *(f"property double {p}" for p in _PLY_PROPERTIES), "end_header"]
+_PLY_ROW_BYTES = 8 * len(_PLY_PROPERTIES)
 
 
 def write_ply(path, points: np.ndarray, normals: np.ndarray) -> None:
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-    lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}"]
-    lines += [f"property float {p}" for p in _PLY_PROPERTIES]
-    lines.append("end_header")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-        for p, n in zip(points, normals):
-            f.write(f"{_f(p[0])} {_f(p[1])} {_f(p[2])} {_f(n[0])} {_f(n[1])} {_f(n[2])}\n")
+    rows = np.hstack([np.asarray(points, dtype=float).reshape(-1, 3),
+                      np.asarray(normals, dtype=float).reshape(-1, 3)])
+    if not np.isfinite(rows).all():
+        raise ValueError("model points and normals must be finite")
+    header = "".join(line.format(n=rows.shape[0]) + "\n" for line in _PLY_HEADER)
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(rows.astype("<f8").tobytes())
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray]:
     raw = Path(path).read_bytes()
+    lines = raw.split(b"\n", len(_PLY_HEADER))
+    count = lines[2][len(b"element vertex "):] if len(lines) > 2 else b""
+    # at most 18 digits: int() of a longer string is slow or refused, and
+    # any count that long could not match the file's length anyway
+    n = int(count) if count.isdigit() and len(count) <= 18 else None
     offset = 0
-    lines = raw.split(b"\n")
-    n_vertex = None
-    props = []
-    header_end = None
-    for i, line in enumerate(lines):
-        text = line.decode("ascii", errors="replace").strip()
-        if i == 0 and text != "ply":
-            raise FormatError("not a PLY file", path, offset=0)
-        if text.startswith("element vertex"):
-            try:
-                n_vertex = int(text.split()[-1])
-            except ValueError:
-                raise FormatError(f"bad vertex count line {text!r}", path, offset)
-        elif text.startswith("property"):
-            props.append(text.split()[-1])
-        elif text == "end_header":
-            header_end = i
-            offset += len(line) + 1
-            break
-        offset += len(line) + 1
-    if header_end is None or n_vertex is None:
-        raise FormatError("missing end_header or vertex count", path, offset)
-    if props != _PLY_PROPERTIES:
-        raise FormatError(f"expected properties {_PLY_PROPERTIES}, got {props}",
-                          path, offset)
-    rows = np.empty((n_vertex, 6))
-    for k in range(n_vertex):
-        line = lines[header_end + 1 + k] if header_end + 1 + k < len(lines) else b""
-        vals = line.split()
-        if len(vals) != 6:
-            raise FormatError(f"vertex row {k} has {len(vals)} fields, expected 6",
+    for k, template in enumerate(_PLY_HEADER):
+        want = template.format(n="<count>" if n is None else n)
+        # the last piece of the split is the vertex data, not a header line
+        got = lines[k].decode("ascii", errors="replace") if k < len(lines) - 1 else None
+        if got != want or (k == 2 and n is None):
+            raise FormatError(f"expected PLY header line {want!r}, got {got!r}",
                               path, offset)
-        try:
-            rows[k] = [float(v) for v in vals]
-        except ValueError:
-            raise FormatError(f"bad float in vertex row {k}", path, offset)
-        offset += len(line) + 1
+        offset += len(want) + 1
+    expected = n * _PLY_ROW_BYTES
+    if len(raw) - offset != expected:
+        raise FormatError(f"expected {expected} bytes of vertex data for {n} "
+                          f"vertices, got {len(raw) - offset}",
+                          path, offset=offset + min(len(raw) - offset, expected))
+    rows = np.frombuffer(raw, dtype="<f8", offset=offset).reshape(n, 6)
+    bad = np.flatnonzero(~np.isfinite(rows))
+    if bad.size:
+        raise FormatError(f"non-finite value in vertex {bad[0] // 6}", path,
+                          offset=offset + 8 * int(bad[0]))
     return rows[:, :3].copy(), rows[:, 3:].copy()
 
 
@@ -186,6 +191,7 @@ def save_model(model: VertebraModel, ply_path, sidecar_path) -> None:
         "id": model.id,
         "landmarks": model.landmarks.tolist(),
         "pedicle_indices": model.pedicle_indices.tolist(),
+        "reg_indices": model.reg_indices.tolist(),
         "screw_plans": [
             {"entry": p.entry.tolist(), "direction": p.direction.tolist(),
              "radius_mm": p.radius_mm, "length_mm": p.length_mm}
@@ -197,27 +203,39 @@ def save_model(model: VertebraModel, ply_path, sidecar_path) -> None:
         f.write("\n")
 
 
+def _indices(value) -> np.ndarray:
+    """A JSON list of point indices as an int64 array; anything else raises."""
+    arr = np.array(value)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"expected a list of integer indices, got {value!r:.40}")
+    return arr.astype(np.int64)
+
+
 def load_model(ply_path, sidecar_path) -> VertebraModel:
-    """Load a model; the registration subset is recomputed from the stored
-    surface via the posterior-visibility convention (+z is posterior)."""
+    """Load a model and its sidecar. A missing or malformed sidecar key, or
+    an index outside the model's points, raises FormatError."""
     points, normals = read_ply(ply_path)
     try:
         doc = json.loads(Path(sidecar_path).read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"bad sidecar JSON: {e.msg}", sidecar_path, offset=e.pos)
-    plans = tuple(ScrewPlan(np.array(p["entry"]), np.array(p["direction"]),
-                            float(p["radius_mm"]), float(p["length_mm"]))
-                  for p in doc["screw_plans"])
-    sel = select_posterior_visible(points, normals, sim.POSTERIOR_VIEW_DIR)
-    return VertebraModel(
-        id=int(doc["id"]),
-        points=points,
-        normals=normals,
-        reg_points=points[sel],
-        landmarks=np.array(doc["landmarks"]),
-        pedicle_indices=np.array(doc["pedicle_indices"], dtype=np.int64),
-        screw_plans=plans,
-    )
+    try:
+        plans = tuple(ScrewPlan(np.array(p["entry"]), np.array(p["direction"]),
+                                float(p["radius_mm"]), float(p["length_mm"]))
+                      for p in doc["screw_plans"])
+        return VertebraModel(
+            id=int(doc["id"]),
+            points=points,
+            normals=normals,
+            reg_indices=_indices(doc["reg_indices"]),
+            landmarks=np.array(doc["landmarks"], dtype=float),
+            pedicle_indices=_indices(doc["pedicle_indices"]),
+            screw_plans=plans,
+        )
+    except KeyError as e:
+        raise FormatError(f"sidecar lacks key {e.args[0]!r}", sidecar_path)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bad value in sidecar: {e}", sidecar_path)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +542,10 @@ class LoadedRecording:
         self.models = [load_model(self.root / "models" / f"vert{i}.ply",
                                   self.root / "models" / f"vert{i}.json")
                        for i in range(1, 6)]
+        for i, m in enumerate(self.models, start=1):
+            if m.id != i:
+                raise FormatError(f"model id {m.id}, expected {i}",
+                                  self.root / "models" / f"vert{i}.json")
         self._orientations = read_orientations(_orientation_path(self.root))
         self._gt = poses_by_frame(read_poses(self.root / "gt_poses.csv"))
         self._obs = (read_observations(self.root / "observations.csv")

@@ -68,7 +68,10 @@ class ScrewPlan:
     def __post_init__(self):
         object.__setattr__(self, "entry", np.asarray(self.entry, dtype=float).reshape(3))
         d = np.asarray(self.direction, dtype=float).reshape(3)
-        object.__setattr__(self, "direction", d / np.linalg.norm(d))
+        norm = np.linalg.norm(d)
+        if not (np.isfinite(norm) and norm > 0):
+            raise ValueError("screw direction must be a finite nonzero vector")
+        object.__setattr__(self, "direction", d / norm)
         if self.radius_mm <= 0 or self.length_mm <= 0:
             raise ValueError("screw radius and length must be positive")
 
@@ -77,9 +80,10 @@ class ScrewPlan:
 class VertebraModel:
     """One preoperative vertebra model, all coordinates in the shared model frame.
 
-    ``points``/``normals`` hold the full sampled surface, ``reg_points`` the
-    posterior-visible subset actually used for registration, ``landmarks``
-    the three evaluation landmarks (spinous process tip, left and right
+    ``points``/``normals`` hold the full sampled surface, ``reg_indices``
+    the rows of ``points`` actually used for registration (the posterior-
+    visible subset) and ``reg_points`` those rows. ``landmarks`` are the
+    three evaluation landmarks (spinous process tip, left and right
     transverse process tips). ``index`` is the KD-tree over ``reg_points``
     that every registration stage matches scene points into; it is built
     once here, so ``reg_points`` must not be reassigned afterwards.
@@ -88,23 +92,29 @@ class VertebraModel:
     id: int
     points: np.ndarray
     normals: np.ndarray
-    reg_points: np.ndarray
+    reg_indices: np.ndarray
     landmarks: np.ndarray
     pedicle_indices: np.ndarray
     screw_plans: tuple[ScrewPlan, ...]
+    reg_points: np.ndarray = field(init=False, repr=False, compare=False)
     index: NearestNeighborIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-        self.reg_points = np.asarray(self.reg_points, dtype=float).reshape(-1, 3)
         self.landmarks = np.asarray(self.landmarks, dtype=float).reshape(-1, 3)
-        self.pedicle_indices = np.asarray(self.pedicle_indices, dtype=np.int64).reshape(-1)
-        if self.reg_points.shape[0] == 0:
+        n = self.points.shape[0]
+        for name in ("reg_indices", "pedicle_indices"):
+            idx = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1)
+            if idx.size and not (idx.min() >= 0 and idx.max() < n):
+                raise ValueError(f"vertebra {self.id}: {name} outside 0..{n - 1}")
+            setattr(self, name, idx)
+        if self.reg_indices.size == 0:
             raise ValueError(f"vertebra {self.id}: registration point set is empty")
         if self.landmarks.shape[0] != 3:
             raise ValueError(f"vertebra {self.id}: expected 3 landmarks, "
                              f"got {self.landmarks.shape[0]}")
+        self.reg_points = self.points[self.reg_indices]
         self.index = NearestNeighborIndex(self.reg_points)
 
     @property

@@ -174,14 +174,12 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5,
 
     # posterior-visible registration subsets, then move the shared origin to
     # the centroid of all registration points
-    reg_sets = []
-    for m in models:
-        sel = select_posterior_visible(m["points"], m["normals"], POSTERIOR_VIEW_DIR)
-        reg_sets.append(m["points"][sel])
-    origin = np.vstack(reg_sets).mean(axis=0)
+    reg_sets = [select_posterior_visible(m["points"], m["normals"], POSTERIOR_VIEW_DIR)
+                for m in models]
+    origin = np.vstack([m["points"][sel] for m, sel in zip(models, reg_sets)]).mean(axis=0)
 
     final = []
-    for m, reg in zip(models, reg_sets):
+    for m, sel in zip(models, reg_sets):
         plans = tuple(ScrewPlan(m["entries"][k] - origin, m["dirs"][k],
                                 radius_mm=2.5, length_mm=40.0 * scale)
                       for k in range(2))
@@ -189,7 +187,7 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5,
             id=m["id"],
             points=m["points"] - origin,
             normals=m["normals"],
-            reg_points=reg - origin,
+            reg_indices=sel,
             landmarks=m["landmarks"] - origin,
             pedicle_indices=m["pedicle_indices"],
             screw_plans=plans,

@@ -37,7 +37,7 @@ def bake_selfconsistent_models(scene, seed=0):
         mine = inv.apply(pts[owner[idx] == m.id])
         models.append(register.VertebraModel(
             id=m.id, points=mine, normals=np.zeros_like(mine),
-            reg_points=mine, landmarks=m.landmarks,
+            reg_indices=np.arange(mine.shape[0]), landmarks=m.landmarks,
             pedicle_indices=np.array([], dtype=np.int64),
             screw_plans=m.screw_plans))
     return models, base

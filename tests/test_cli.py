@@ -1,4 +1,5 @@
 import json
+import shutil
 import socket
 
 import pytest
@@ -70,3 +71,62 @@ def test_read_recording_meta_rejects_malformed_documents(tmp_path, text):
     (tmp_path / "recording.json").write_text(text)
     with pytest.raises(formats.FormatError):
         formats.read_recording_meta(tmp_path)
+
+
+def _without(key):
+    return lambda doc, n: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc, n: {**doc, key: value(n)}
+
+
+# malformed sidecars: case -> (document, point count) -> new document
+SIDECAR_ERRORS = {
+    "missing reg_indices": _without("reg_indices"),
+    "missing screw_plans": _without("screw_plans"),
+    "reg index past the points": _with("reg_indices", lambda n: [0, n]),
+    "negative reg index": _with("reg_indices", lambda n: [-1, 0]),
+    "fractional reg index": _with("reg_indices", lambda n: [0.5, 1]),
+    "nested reg indices": _with("reg_indices", lambda n: [[0, 1]]),
+    "empty reg indices": _with("reg_indices", lambda n: []),
+    "pedicle index past the points": _with("pedicle_indices", lambda n: [n]),
+    "pedicle indices not a list": _with("pedicle_indices", lambda n: "12"),
+    "two landmarks": _with("landmarks", lambda n: [[0, 0, 0], [1, 1, 1]]),
+    "plan without radius": _with("screw_plans", lambda n: [
+        {"entry": [0, 0, 0], "direction": [0, 0, 1], "length_mm": 40}]),
+    "zero screw direction": _with("screw_plans", lambda n: [
+        {"entry": [0, 0, 0], "direction": [0, 0, 0], "radius_mm": 2.5, "length_mm": 40}]),
+    "id of another vertebra": _with("id", lambda n: 3),
+    "a list, not an object": lambda doc, n: [doc],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_ERRORS))
+def test_register_reports_malformed_sidecar_as_format_error(
+        recording_dir, tmp_path, capsys, case):
+    rec = tmp_path / "rec"
+    shutil.copytree(recording_dir, rec)
+    sidecar = rec / "models" / "vert2.json"
+    n = len(formats.read_ply(rec / "models" / "vert2.ply")[0])
+    sidecar.write_text(json.dumps(SIDECAR_ERRORS[case](json.loads(sidecar.read_text()), n)))
+    rc = cli.main(["register", "--recording", str(rec), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert _format_error(capsys)["file"] == str(sidecar)
+
+
+def test_register_reports_ascii_model_file_as_format_error(recording_dir, tmp_path,
+                                                           capsys):
+    rec = tmp_path / "rec"
+    shutil.copytree(recording_dir, rec)
+    points, normals = formats.read_ply(rec / "models" / "vert1.ply")
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
+    lines += [f"property float {p}" for p in ("x", "y", "z", "nx", "ny", "nz")]
+    lines += ["end_header"] + [" ".join(repr(float(v)) for v in row)
+                               for row in zip(*points.T, *normals.T)]
+    (rec / "models" / "vert1.ply").write_text("\n".join(lines) + "\n")
+    rc = cli.main(["register", "--recording", str(rec), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    doc = _format_error(capsys)
+    assert doc["file"] == str(rec / "models" / "vert1.ply")
+    assert "format binary_little_endian 1.0" in doc["message"]

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from vertereg import cloud, maskgen
 from vertereg.cloud import CameraIntrinsics
+from vertereg.geom import RigidTransform, random_unit_quat
 
 
 INTR = CameraIntrinsics(fx=300.0, fy=300.0, cx=64.0, cy=48.0, width=128, height=96)
@@ -163,6 +165,40 @@ class TestNearestNeighbors:
         np.testing.assert_array_equal(qidx, np.nonzero(keep)[0])
         np.testing.assert_array_equal(ridx, brute_idx[keep])
         np.testing.assert_allclose(dist, brute_dist[keep], atol=1e-9)
+
+    @pytest.mark.parametrize("max_dist", [2.0, 2.5, 5.0, np.inf])
+    def test_pruned_query_equals_unpruned_tree_query(self, max_dist):
+        # queries outside the reference's box widened by max_dist are never
+        # sent to the tree; the result must be what the whole query gives
+        rng = np.random.default_rng(11)
+        ref = rng.normal(0.0, [20.0, 40.0, 10.0], (3000, 3))
+        tree = cKDTree(ref)
+        index = cloud.NearestNeighborIndex(ref)
+        lo, hi = ref.min(axis=0), ref.max(axis=0)
+        # points on and just around each face of the widened box, level with
+        # the reference point that sets that face
+        faces = []
+        for k in range(3):
+            for r, face in ((ref[ref[:, k].argmin()], lo[k] - max_dist),
+                            (ref[ref[:, k].argmax()], hi[k] + max_dist)):
+                if np.isfinite(face):
+                    for x in (np.nextafter(face, -np.inf), face, np.nextafter(face, np.inf)):
+                        q = r.copy()
+                        q[k] = x
+                        faces.append(q)
+        for _ in range(10):
+            pose = RigidTransform(random_unit_quat(rng), rng.uniform(-40.0, 40.0, 3))
+            queries = np.vstack([pose.apply(rng.normal(0.0, 30.0, (2000, 3))),
+                                 np.reshape(faces, (-1, 3))])
+            dist, idx = tree.query(queries, k=1, distance_upper_bound=max_dist)
+            found = np.isfinite(dist)
+            qidx, ridx, d = index.query(queries, max_dist)
+            np.testing.assert_array_equal(qidx, np.flatnonzero(found))
+            np.testing.assert_array_equal(ridx, idx[found])
+            assert d.tobytes() == dist[found].tobytes()
+        if faces:
+            # the points just inside the faces do match
+            assert index.query(np.array(faces), max_dist)[0].size >= 6
 
     def test_distances_nonincreasing_when_reference_grows(self):
         rng = np.random.default_rng(6)

@@ -42,7 +42,7 @@ def test_pairs_reported_at_exactly_the_gate_are_not_inliers():
     model_pts = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
     model = register.VertebraModel(
         id=1, points=model_pts, normals=np.zeros_like(model_pts),
-        reg_points=model_pts, landmarks=model_pts,
+        reg_indices=np.arange(3), landmarks=model_pts,
         pedicle_indices=np.array([], dtype=np.int64), screw_plans=())
     rng = np.random.default_rng(0)
     scene = []
