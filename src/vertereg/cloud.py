@@ -87,6 +87,24 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
     return labels == best
 
 
+def voxel_subsample(points: np.ndarray, size_mm: float) -> np.ndarray:
+    """Indices of the first point in each occupied voxel, in ascending order.
+
+    Voxels are cubes of ``size_mm`` on a grid anchored at the origin of the
+    points' frame, so the subset depends only on the points and their order.
+    A grid too fine to number its voxels in an int64 raises ValueError.
+    """
+    if not size_mm > 0:
+        raise ValueError("voxel size must be positive")
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    keys = np.floor(points / size_mm).astype(np.int64)
+    keys -= keys.min(axis=0)
+    voxel = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+    # unique sorts stably when asked for indices, so each is a first occurrence
+    _, first = np.unique(voxel, return_index=True)
+    return np.sort(first)
+
+
 class NearestNeighborIndex:
     """Immutable KD-tree over a reference cloud; safe for concurrent queries."""
 

@@ -8,13 +8,12 @@ of updates to settle before being judged.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
 from .geom import RigidTransform, quat_to_matrix
-from .register import (UPDATE_FRAMES, RegistrationConfig, ScrewPlan,
-                       VertebraModel, run_recording)
+from .register import (UPDATE_FRAMES, RegistrationConfig, RegistrationState,
+                       ScrewPlan, VertebraModel, run_recording, unrefined_track)
 
 TRE_START_FRAME = 61
 SAFE_PERFORATION_MM = 2.0
@@ -119,20 +118,21 @@ def run_ablation(frames, models: list[VertebraModel], segmenter,
                  ) -> dict[str, dict[int, list[float]]]:
     """Per-mode, per-vertebra TRE series from one streamed pass over ``frames``.
 
-    Full runs once. A mode that updates for the first n interaction frames
-    (``UPDATE_FRAMES``) follows Full up to interaction frame n and holds
-    that state afterwards; General holds the state of its own initial
-    frame, which skips refinement. ``gt_lookup(vid, frame_index)`` gives
-    the true pose.
+    Full runs once, and registers the initial frame once. A mode that
+    updates for the first n interaction frames (``UPDATE_FRAMES``) follows
+    Full up to interaction frame n and holds that state afterwards; General
+    holds every vertebra at Full's en-bloc pose, unrefined.
+    ``gt_lookup(vid, frame_index)`` gives the true pose.
     """
     by_id = {m.id: m for m in models}
-    it = iter(frames)
-    first = next(it)
-    held = {"General": next(run_recording([first], models, segmenter, cfg,
-                                          mode="General"))}
+    held = {}
     series = {mode: {m.id: [] for m in models} for mode in UPDATE_FRAMES}
-    full = run_recording(chain([first], it), models, segmenter, cfg, mode="Full")
+    full = run_recording(frames, models, segmenter, cfg, mode="Full")
     for interaction, state in enumerate(full):
+        if interaction == 0:
+            held["General"] = RegistrationState(
+                {vid: unrefined_track(state.en_bloc) for vid in state.vertebrae},
+                state.frame_index, state.en_bloc)
         for mode, limit in UPDATE_FRAMES.items():
             if interaction == limit:
                 held.setdefault(mode, state)

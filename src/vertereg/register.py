@@ -5,7 +5,9 @@ The pipeline runs in three stages on an initial (unoccluded) frame:
 1. initial pose — predicted orientation + centroid of the largest
    segmented component,
 2. general alignment — en-bloc point-to-point ICP of the combined models,
-3. piecewise refinement — per-vertebra ICP with a 2 mm inlier gate.
+   matched into their coarse subset (one point per occupied 2 mm voxel),
+3. piecewise refinement — per-vertebra ICP with a 2 mm inlier gate, matched
+   into the full registration subset.
 
 Subsequent interaction frames receive a single gated refinement step per
 vertebra: a vertebra is only moved when it still shows at least 90 % of the
@@ -17,7 +19,10 @@ mapped into the model frame by the inverse pose and each of its points
 takes its nearest registration point from a KD-tree built once, over the
 models, not per frame. An inlier count is therefore the number of scene
 points within the gate of the posed model, and the update gate compares two
-counts of that one kind.
+counts of that one kind. The en-bloc stage only has to land inside the
+per-vertebra capture range, so it matches into the coarse subset; the
+refinement, its baseline and every interaction-frame update match into the
+full registration subset, which sets the final accuracy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cloud import (EmptyCloudError, NearestNeighborIndex, centroid,
-                    depth_to_cloud, largest_component)
+                    depth_to_cloud, largest_component, voxel_subsample)
 from .geom import (RigidTransform, pose_difference, quat_mul, quat_normalize,
                    umeyama)
 
@@ -36,6 +41,9 @@ from .geom import (RigidTransform, pose_difference, quat_mul, quat_normalize,
 # General also skips the per-vertebra refinement of the initial frame.
 UPDATE_FRAMES = {"General": 0, "Refinement": 0, "First-60": 60, "Full": None}
 ABLATION_MODES = tuple(UPDATE_FRAMES)
+
+# voxel edge of the coarse subset that en-bloc ICP matches into, mm
+COARSE_VOXEL_MM = 2.0
 
 
 class NoOverlapError(RuntimeError):
@@ -82,11 +90,13 @@ class VertebraModel:
 
     ``points``/``normals`` hold the full sampled surface, ``reg_indices``
     the rows of ``points`` actually used for registration (the posterior-
-    visible subset) and ``reg_points`` those rows. ``landmarks`` are the
-    three evaluation landmarks (spinous process tip, left and right
-    transverse process tips). ``index`` is the KD-tree over ``reg_points``
-    that every registration stage matches scene points into; it is built
-    once here, so ``reg_points`` must not be reassigned afterwards.
+    visible subset) and ``reg_points`` those rows. ``coarse_points`` keeps
+    the first of ``reg_points`` in each occupied ``COARSE_VOXEL_MM`` voxel of
+    the model frame, for en-bloc ICP. ``landmarks`` are the three evaluation
+    landmarks (spinous process tip, left and right transverse process tips).
+    ``index`` is the KD-tree over ``reg_points`` that the per-vertebra stages
+    match scene points into. Both are derived once here, so ``reg_points``
+    must not be reassigned afterwards.
     """
 
     id: int
@@ -97,6 +107,7 @@ class VertebraModel:
     pedicle_indices: np.ndarray
     screw_plans: tuple[ScrewPlan, ...]
     reg_points: np.ndarray = field(init=False, repr=False, compare=False)
+    coarse_points: np.ndarray = field(init=False, repr=False, compare=False)
     index: NearestNeighborIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,6 +126,8 @@ class VertebraModel:
             raise ValueError(f"vertebra {self.id}: expected 3 landmarks, "
                              f"got {self.landmarks.shape[0]}")
         self.reg_points = self.points[self.reg_indices]
+        self.coarse_points = self.reg_points[voxel_subsample(self.reg_points,
+                                                             COARSE_VOXEL_MM)]
         self.index = NearestNeighborIndex(self.reg_points)
 
     @property
@@ -152,10 +165,16 @@ class VertebraTrack:
     inliers: int = 0         # inlier count observed this frame
 
 
+def unrefined_track(pose: RigidTransform) -> VertebraTrack:
+    """A vertebra left at the en-bloc pose, as the General mode shows it."""
+    return VertebraTrack(pose, 0, True, False)
+
+
 @dataclass
 class RegistrationState:
     vertebrae: dict[int, VertebraTrack]
     frame_index: int
+    en_bloc: RigidTransform    # general-alignment pose of the initial frame
 
 
 def initial_pose(pc_s: np.ndarray, q_p: np.ndarray) -> RigidTransform:
@@ -191,6 +210,8 @@ def general_alignment(index: NearestNeighborIndex, t_init: RigidTransform,
                       scene: np.ndarray, cfg: RegistrationConfig
                       ) -> RigidTransform:
     """En-bloc ICP of the combined models (indexed by ``index``) to the scene.
+
+    ``index`` holds the stacked ``coarse_points`` of the models.
 
     Correspondences are capped at ``general_max_corr``; iteration stops
     after ``general_max_iters`` rounds or when the incremental transform
@@ -276,7 +297,8 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
     the ablation modes) per-vertebra refinement. ``initial_perturbation``
     degrades the pose prior to stress-test convergence: its rotation turns
     the prior about the prior's own centre, the centroid of the segmented
-    cloud, and its translation shifts that centre.
+    cloud, and its translation shifts that centre. The returned state keeps
+    the en-bloc pose as ``en_bloc``.
     """
     mask, q_p = segmenter(frame)
     comp = largest_component(mask)
@@ -292,13 +314,13 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
             quat_normalize(quat_mul(initial_perturbation.q, t_init.q)),
             t_init.t + initial_perturbation.t)
 
-    combined = NearestNeighborIndex(np.vstack([m.reg_points for m in models]))
+    combined = NearestNeighborIndex(np.vstack([m.coarse_points for m in models]))
     t_gen = general_alignment(combined, t_init, pc_s, cfg)
 
     vertebrae: dict[int, VertebraTrack] = {}
     for model in sorted(models, key=lambda m: m.id):
         if not refine:
-            vertebrae[model.id] = VertebraTrack(t_gen, 0, True, False)
+            vertebrae[model.id] = unrefined_track(t_gen)
             continue
         try:
             pose, baseline = piecewise_refine(model, t_gen, pc_s, cfg)
@@ -306,7 +328,7 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
                                                 inliers=baseline)
         except RefinementDegenerateError:
             vertebrae[model.id] = VertebraTrack(t_gen, 0, False, True)
-    return RegistrationState(vertebrae, frame.index)
+    return RegistrationState(vertebrae, frame.index, t_gen)
 
 
 def process_interaction_frame(state: RegistrationState, frame,
@@ -326,13 +348,13 @@ def process_interaction_frame(state: RegistrationState, frame,
             vertebrae[vid] = replace(track, updated=False, inliers=0)
             continue
         vertebrae[vid] = update_pose(track, by_id[vid], pc_s, cfg)
-    return RegistrationState(vertebrae, frame.index)
+    return RegistrationState(vertebrae, frame.index, state.en_bloc)
 
 
 def _hold(state: RegistrationState, frame_index: int) -> RegistrationState:
     vertebrae = {vid: replace(tr, updated=False, inliers=0)
                  for vid, tr in state.vertebrae.items()}
-    return RegistrationState(vertebrae, frame_index)
+    return RegistrationState(vertebrae, frame_index, state.en_bloc)
 
 
 def run_recording(frames, models: list[VertebraModel], segmenter,

@@ -27,6 +27,8 @@ from .register import ScrewPlan, VertebraModel
 from .track import MarkerObservation, StereoRig
 
 POSTERIOR_VIEW_DIR = np.array([0.0, 0.0, -1.0])
+# the vertebra whose true orientation the oracle's orientation prior reports
+PRIOR_VERTEBRA = 3
 DEFAULT_BASELINE_MM = 63.0
 
 # |half-normal| median factor: median(|N(0, s)|) = 0.6745 s
@@ -376,6 +378,11 @@ class Recording:
         return motion.pose_at(t).compose(self.base_pose)
 
     def frame(self, f: int) -> Frame:
+        """Frame ``f`` (1-based), generated from ``(seed, f)`` alone.
+
+        The oracle orientation prior is the true orientation of vertebra
+        ``PRIOR_VERTEBRA``, corrupted by ``orientation_error_deg``.
+        """
         if not 1 <= f <= self.spec.frames:
             raise IndexError(f"frame {f} outside 1..{self.spec.frames}")
         intr = self.scene.intrinsics
@@ -406,7 +413,7 @@ class Recording:
         if self.spec.mask_smooth_k > 1:
             mask = smooth_mask(mask, self.spec.mask_smooth_k)
 
-        q_p = gt[3].q.copy()
+        q_p = gt[PRIOR_VERTEBRA].q.copy()
         if self.spec.orientation_error_deg > 0:
             sigma = math.radians(self.spec.orientation_error_deg) / _HALF_NORMAL_MEDIAN
             angle = abs(rng.normal(0.0, sigma))

@@ -137,6 +137,44 @@ class TestLargestComponent:
         np.testing.assert_array_equal(cloud.largest_component(once), once)
 
 
+def _voxel_keys(points, size):
+    return [tuple(math.floor(c / size) for c in p) for p in points]
+
+
+class TestVoxelSubsample:
+    @pytest.mark.parametrize("size", [0.7, 2.0, 5.0])
+    def test_first_point_of_every_occupied_voxel(self, size):
+        rng = np.random.default_rng(4)
+        pts = rng.normal(0.0, 6.0, (800, 3))
+        keys = _voxel_keys(pts, size)
+        first = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+
+        got = cloud.voxel_subsample(pts, size)
+        assert got.tolist() == sorted(first.values())
+        kept = [keys[i] for i in got]
+        assert len(set(kept)) == len(kept)
+        assert set(kept) == set(keys)
+        assert 1 < got.size < pts.shape[0]
+
+    def test_grid_is_anchored_at_the_origin(self):
+        pts = np.array([[-0.1, 0.5, 0.5], [0.1, 0.5, 0.5], [1.9, 0.5, 0.5]])
+        assert cloud.voxel_subsample(pts, 2.0).tolist() == [0, 1]
+        assert cloud.voxel_subsample(pts + 1.0, 2.0).tolist() == [0, 2]
+
+    def test_one_voxel_keeps_its_first_point_and_sparse_clouds_keep_all(self):
+        rng = np.random.default_rng(5)
+        inside = rng.uniform(0.1, 1.9, (50, 3))
+        assert cloud.voxel_subsample(inside, 2.0).tolist() == [0]
+        sparse = np.arange(30, dtype=float)[:, None] * [3.0, -5.0, 7.0]
+        assert cloud.voxel_subsample(sparse, 2.0).tolist() == list(range(30))
+
+    def test_rejects_nonpositive_size(self):
+        with pytest.raises(ValueError):
+            cloud.voxel_subsample(np.zeros((2, 3)), 0.0)
+
+
 class TestNearestNeighbors:
     def test_exact_hit(self):
         ref = np.array([[0.0, 0, 0], [5.0, 0, 0]])

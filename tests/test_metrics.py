@@ -36,6 +36,22 @@ def test_single_pass_ablation_equals_per_mode_runs(drifting_recording, coarse_sc
     assert got["General"] != got["Refinement"]
 
 
+def test_ablation_registers_the_initial_frame_once(monkeypatch, coarse_scene,
+                                                    default_cfg):
+    rec = sim.render_recording(coarse_scene, sim.RecordingSpec(frames=3), seed=0)
+    calls = []
+    initial = register.register_initial_frame
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("refine", True))
+        return initial(*args, **kwargs)
+
+    monkeypatch.setattr(register, "register_initial_frame", counting)
+    metrics.run_ablation(rec, coarse_scene.models, sim.oracle_segmenter,
+                         default_cfg, rec.gt_pose)
+    assert calls == [True]
+
+
 def test_recording_tre_is_the_mean_from_the_start_frame():
     assert metrics.recording_tre([9.0, 1.0, 2.0], start_frame=2) == 1.5
     with pytest.raises(ValueError):

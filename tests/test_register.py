@@ -179,9 +179,9 @@ def test_occluded_middle_vertebrae_hold_while_the_others_update(
             assert track.updated
 
 
-def test_interaction_frame_builds_no_kd_tree(monkeypatch, occluded_pair,
-                                             coarse_scene, default_cfg):
-    first, frame = occluded_pair
+@pytest.fixture
+def built_trees(monkeypatch):
+    """Sizes of the KD-trees built while the test runs."""
     built = []
     build = cloud.NearestNeighborIndex.__init__
 
@@ -190,14 +190,52 @@ def test_interaction_frame_builds_no_kd_tree(monkeypatch, occluded_pair,
         build(self, reference)
 
     monkeypatch.setattr(cloud.NearestNeighborIndex, "__init__", counting)
+    return built
+
+
+def test_interaction_frame_builds_no_kd_tree(built_trees, occluded_pair,
+                                             coarse_scene, default_cfg):
+    first, frame = occluded_pair
     register.process_interaction_frame(first, frame, coarse_scene.models,
                                        sim.oracle_segmenter, default_cfg)
     # an empty cloud holds every vertebra
     blank = replace(frame, oracle_mask=np.zeros_like(frame.oracle_mask))
     state = register.process_interaction_frame(first, blank, coarse_scene.models,
                                                sim.oracle_segmenter, default_cfg)
-    assert built == []
+    assert built_trees == []
     for vid, track in state.vertebrae.items():
         assert (track.updated, track.inliers) == (False, 0)
         assert track.pose is first.vertebrae[vid].pose
 
+
+def test_initial_frame_builds_one_tree_over_the_coarse_subsets(
+        built_trees, initial_frame, coarse_scene, default_cfg):
+    models = coarse_scene.models
+    register.register_initial_frame(initial_frame, models, sim.oracle_segmenter,
+                                    default_cfg)
+    coarse = sum(m.coarse_points.shape[0] for m in models)
+    full = sum(m.reg_points.shape[0] for m in models)
+    assert built_trees == [coarse]
+    assert coarse < full / 2
+
+
+def test_coarse_points_are_the_first_registration_point_per_2mm_voxel(coarse_scene):
+    for m in coarse_scene.models:
+        keep = cloud.voxel_subsample(m.reg_points, register.COARSE_VOXEL_MM)
+        assert m.coarse_points.tobytes() == m.reg_points[keep].tobytes()
+
+
+def test_initial_state_keeps_the_en_bloc_pose_it_refined_from(
+        initial_frame, coarse_scene, default_cfg):
+    args = (initial_frame, coarse_scene.models, sim.oracle_segmenter, default_cfg)
+    refined = register.register_initial_frame(*args)
+    general = register.register_initial_frame(*args, refine=False)
+
+    def bits(pose):
+        return pose.q.tobytes(), pose.t.tobytes()
+
+    assert bits(general.en_bloc) == bits(refined.en_bloc)
+    assert list(general.vertebrae) == list(refined.vertebrae)
+    for track in general.vertebrae.values():
+        assert bits(track.pose) == bits(refined.en_bloc)
+        assert (track.baseline_inliers, track.updated, track.frozen) == (0, True, False)
