@@ -46,14 +46,23 @@ def depth_to_cloud(depth: np.ndarray, intr: CameraIntrinsics,
     if depth.shape != (intr.height, intr.width):
         raise ValueError(f"depth shape {depth.shape} does not match intrinsics "
                          f"({intr.height}, {intr.width})")
-    valid = depth > 0
-    if mask is not None:
+    # flat indices: numpy 2.4's 2-D np.nonzero costs about 0.45 ms on a
+    # 400x300 image even when nothing is set; flatnonzero and a divmod by
+    # the width give the same (v, u) in the same row-major order in a
+    # fraction of that
+    flat = depth.ravel()
+    if mask is None:
+        idx = np.flatnonzero(flat > 0)
+        d = flat[idx]
+    else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != depth.shape:
             raise ValueError(f"mask shape {mask.shape} does not match depth {depth.shape}")
-        valid &= mask
-    v, u = np.nonzero(valid)
-    d = depth[v, u]
+        idx = np.flatnonzero(mask)
+        d = flat[idx]
+        valid = d > 0
+        idx, d = idx[valid], d[valid]
+    v, u = np.divmod(idx, intr.width)
     x = d * (u - intr.cx) / intr.fx
     y = d * (v - intr.cy) / intr.fy
     return np.column_stack([x, y, d])
@@ -130,7 +139,11 @@ class NearestNeighborIndex:
         pad = max_dist * (1.0 + 1e-9)
         lo = np.nextafter(self._lo - pad, -np.inf)
         hi = np.nextafter(self._hi + pad, np.inf)
-        near = np.flatnonzero(((queries >= lo) & (queries <= hi)).all(axis=1))
+        (x0, y0, z0), (x1, y1, z1) = lo.tolist(), hi.tolist()
+        x, y, z = queries[:, 0], queries[:, 1], queries[:, 2]
+        # six 1-D compares cost a third of one (N, 3) compare and an all()
+        near = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+                              & (z >= z0) & (z <= z1))
         dist, idx = self._tree.query(queries[near], k=1,
                                      distance_upper_bound=max_dist, workers=1)
         found = np.isfinite(dist)

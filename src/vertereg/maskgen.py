@@ -1,10 +1,9 @@
-"""Ground-truth mask synthesis and the associated loss functions.
+"""Ground-truth mask synthesis.
 
 This provides the oracle stand-in for a learned segmenter: a depth render
 of posed anatomy models is compared against the sensor depth image, the
 agreement mask is smoothed, and the result pairs with a reference
-orientation quaternion. The dice / geodesic / norm losses live here too so
-they can be tested as plain math.
+orientation quaternion.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 from scipy import ndimage
 
 from .cloud import CameraIntrinsics
-from .geom import quat_mul, z_rotation_quat
 
 
 def render_depth(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
@@ -64,57 +62,3 @@ def smooth_mask(mask: np.ndarray, k: int = 15) -> np.ndarray:
     filtered = ndimage.uniform_filter(mask.astype(float), size=k,
                                       mode="constant", cval=0.0)
     return filtered > 0.5
-
-
-def dice_loss(pred: np.ndarray, gt: np.ndarray, smooth: float = 1.0) -> float:
-    """1 − dice overlap of a real-valued prediction against a binary mask."""
-    pred = np.asarray(pred, dtype=float)
-    gt = np.asarray(gt, dtype=float)
-    if pred.shape != gt.shape:
-        raise ValueError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    inter = float((pred * gt).sum())
-    total = float(pred.sum() + gt.sum())
-    return 1.0 - (2.0 * inter + smooth) / (total + smooth)
-
-
-def total_loss(batch: list[tuple[float, float, float]]) -> float:
-    """Batch loss: mean dice plus mean (geodesic + norm penalty).
-
-    ``batch`` holds (dice, geodesic, norm_penalty) triples.
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    arr = np.asarray(batch, dtype=float).reshape(-1, 3)
-    return float(arr[:, 0].mean() + (arr[:, 1] + arr[:, 2]).mean())
-
-
-def rotate_mask(mask: np.ndarray, alpha: float) -> np.ndarray:
-    """Rotate mask content by alpha radians about the image center.
-
-    Nearest-neighbor resampling; a positive angle turns the image content
-    the same way a camera-frame z rotation of the scene would.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.mgrid[0:h, 0:w]
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    # inverse map: rotate output coordinates by -alpha
-    xs = ca * (xx - cx) + sa * (yy - cy) + cx
-    ys = -sa * (xx - cx) + ca * (yy - cy) + cy
-    xi = np.rint(xs).astype(np.int64)
-    yi = np.rint(ys).astype(np.int64)
-    inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-    out = np.zeros_like(mask)
-    out[inside] = mask[yi[inside], xi[inside]]
-    return out
-
-
-def augment(mask: np.ndarray, q_gt: np.ndarray, alpha: float
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a training mask and its ground-truth quaternion consistently.
-
-    The mask turns by alpha about the image center and the quaternion is
-    left-multiplied by the matching z-axis rotation.
-    """
-    return rotate_mask(mask, alpha), quat_mul(z_rotation_quat(alpha), np.asarray(q_gt, dtype=float))

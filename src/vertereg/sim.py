@@ -404,10 +404,11 @@ class Recording:
             noise = rng.normal(0.0, self.spec.depth_sigma, size=int(valid.sum()))
             sensor[valid] = np.maximum(sensor[valid] + noise, 1e-3)
         if self.spec.dropout > 0:
-            valid = sensor > 0
-            drop = rng.random(size=int(valid.sum())) < self.spec.dropout
-            vv, uu = np.nonzero(valid)
-            sensor[vv[drop], uu[drop]] = 0.0
+            # flat indices, as in cloud.depth_to_cloud: same pixels, same
+            # order, without the cost of a 2-D np.nonzero
+            valid = np.flatnonzero(sensor > 0)
+            drop = rng.random(size=valid.size) < self.spec.dropout
+            np.put(sensor, valid[drop], 0.0)
 
         mask = synth_mask(clean, sensor, 10.0)
         if self.spec.mask_smooth_k > 1:

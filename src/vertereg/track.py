@@ -3,8 +3,8 @@
 Corner detection happens upstream; this module consumes undistorted pixel
 coordinates of marker corners in both views, triangulates them, fits the
 sleeve pose against the known marker geometry, and smooths the pose with a
-constant-acceleration Kalman filter (one scalar filter per translation axis
-and per hemisphere-aligned quaternion component).
+constant-acceleration Kalman filter (one channel per translation axis and
+per hemisphere-aligned quaternion component).
 """
 
 from __future__ import annotations
@@ -56,46 +56,65 @@ class MarkerObservation:
         self.right_px = np.asarray(self.right_px, dtype=float).reshape(4, 2)
 
 
-def _pixel_ray(px: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """Unit ray direction through a pixel, camera frame."""
-    d = np.array([(px[0] - intr.cx) / intr.fx, (px[1] - intr.cy) / intr.fy, 1.0])
-    return d / np.linalg.norm(d)
+# a corner whose two viewing rays miss each other by more than this is unreliable
+MAX_RAY_GAP_MM = 10.0
+
+
+def _pixel_rays(px: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+    """Unit ray directions through (M, 2) pixels, camera frame."""
+    d = np.ones((px.shape[0], 3))
+    d[:, 0] = (px[:, 0] - intr.cx) / intr.fx
+    d[:, 1] = (px[:, 1] - intr.cy) / intr.fy
+    return d / np.sqrt(np.vecdot(d, d))[:, None]
+
+
+def _triangulate_corners(left_px: np.ndarray, right_px: np.ndarray,
+                         rig: StereoRig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoint triangulation of corresponding (M, 2) pixel rows.
+
+    Returns (points (M, 3) in the left-camera frame, parallel (M,) bool
+    marking near-parallel rays, gap (M,) closest-approach distance in mm).
+    np.vecdot and np.matvec take each row's product with the same inner
+    loop as a 1-D ``@``, so every row matches a corner-by-corner loop bit
+    for bit.
+    """
+    d1 = _pixel_rays(left_px, rig.left)
+    d2 = np.matvec(quat_to_matrix(rig.baseline.q), _pixel_rays(right_px, rig.right))
+    o2 = np.asarray(rig.baseline.t, dtype=float)
+    # closest points on the lines o1 + s d1 and o2 + u d2 (o1 = 0)
+    w0 = -o2
+    b = np.vecdot(d1, d2)
+    d = np.vecdot(d1, w0)
+    e = np.vecdot(d2, w0)
+    denom = 1.0 - b * b
+    parallel = denom < 1e-12
+    denom[parallel] = 1.0   # keeps the division finite; callers reject these
+    s = (b * e - d) / denom
+    u = (e - b * d) / denom
+    p1 = s[:, None] * d1
+    p2 = o2 + u[:, None] * d2
+    diff = p1 - p2
+    return 0.5 * (p1 + p2), parallel, np.sqrt(np.vecdot(diff, diff))
 
 
 def triangulate(obs: MarkerObservation, rig: StereoRig,
-                max_gap_mm: float = 10.0) -> np.ndarray:
+                max_gap_mm: float = MAX_RAY_GAP_MM) -> np.ndarray:
     """Midpoint triangulation of the four corners, left-camera frame (mm).
 
     For each corner pair the closest points of the two viewing rays are
     found; their midpoint is the estimate. Near-parallel rays or a
     closest-approach gap above ``max_gap_mm`` raise
-    UnreliableTriangulationError.
+    UnreliableTriangulationError, naming the first such corner.
     """
-    r_right = quat_to_matrix(rig.baseline.q)
-    o2 = np.asarray(rig.baseline.t, dtype=float)
-    out = np.empty((4, 3))
+    points, parallel, gap = _triangulate_corners(obs.left_px, obs.right_px, rig)
     for k in range(4):
-        d1 = _pixel_ray(obs.left_px[k], rig.left)
-        d2 = r_right @ _pixel_ray(obs.right_px[k], rig.right)
-        # closest points on the two lines o1 + s d1 and o2 + u d2 (o1 = 0)
-        w0 = -o2
-        b = float(d1 @ d2)
-        d = float(d1 @ w0)
-        e = float(d2 @ w0)
-        denom = 1.0 - b * b
-        if denom < 1e-12:
+        if parallel[k]:
             raise UnreliableTriangulationError(
                 f"corner {k} of marker {obs.marker_id}: viewing rays are parallel")
-        s = (b * e - d) / denom
-        u = (e - b * d) / denom
-        p1 = s * d1
-        p2 = o2 + u * d2
-        gap = float(np.linalg.norm(p1 - p2))
-        if gap > max_gap_mm:
+        if gap[k] > max_gap_mm:
             raise UnreliableTriangulationError(
-                f"corner {k} of marker {obs.marker_id}: ray gap {gap:.2f} mm")
-        out[k] = 0.5 * (p1 + p2)
-    return out
+                f"corner {k} of marker {obs.marker_id}: ray gap {gap[k]:.2f} mm")
+    return points
 
 
 def marker_pose(observed_3d: np.ndarray, reference: dict[int, np.ndarray],
@@ -124,13 +143,24 @@ def marker_pose(observed_3d: np.ndarray, reference: dict[int, np.ndarray],
 
 def track_pose(observations: list[MarkerObservation], rig: StereoRig,
                reference: dict[int, np.ndarray]) -> RigidTransform:
-    """Triangulate every known observed marker and fit the sleeve pose."""
+    """Triangulate every known observed marker and fit the sleeve pose.
+
+    A marker with an unreliable corner (see ``triangulate``) is left out
+    of the fit; fewer than two markers left raise InsufficientMarkersError.
+    """
     usable = [o for o in observations if o.marker_id in reference]
     if len(usable) < 2:
         raise InsufficientMarkersError(
             f"need at least 2 known markers, got {len(usable)}")
-    obs3d = np.vstack([triangulate(o, rig) for o in usable])
-    return marker_pose(obs3d, reference, [o.marker_id for o in usable])
+    points, parallel, gap = _triangulate_corners(
+        np.vstack([o.left_px for o in usable]),
+        np.vstack([o.right_px for o in usable]), rig)
+    reliable = ~(parallel | (gap > MAX_RAY_GAP_MM)).reshape(-1, 4).any(axis=1)
+    ids = [o.marker_id for o, ok in zip(usable, reliable) if ok]
+    if len(ids) < 2:
+        raise InsufficientMarkersError(
+            f"need at least 2 reliably triangulated markers, got {len(ids)}")
+    return marker_pose(points.reshape(-1, 4, 3)[reliable], reference, ids)
 
 
 @dataclass(frozen=True)
@@ -141,49 +171,24 @@ class KalmanConfig:
     sigma_m: float = 0.5     # measurement noise, mm
 
 
-class _ScalarCAFilter:
-    """Constant-acceleration Kalman filter for one scalar channel."""
-
-    def __init__(self, cfg: KalmanConfig):
-        self.cfg = cfg
-        self.x: np.ndarray | None = None   # [position, velocity, acceleration]
-        self.p: np.ndarray | None = None
-
-    def step(self, z: float, dt: float) -> float:
-        if self.x is None:
-            self.x = np.array([z, 0.0, 0.0])
-            self.p = np.diag([self.cfg.sigma_m ** 2, 1e2, 1e2])
-            return z
-        f = np.array([[1.0, dt, 0.5 * dt * dt],
-                      [0.0, 1.0, dt],
-                      [0.0, 0.0, 1.0]])
-        g = np.array([0.5 * dt * dt, dt, 1.0])
-        q = self.cfg.sigma_a ** 2 * np.outer(g, g)
-        r = self.cfg.sigma_m ** 2
-
-        x = f @ self.x
-        p = f @ self.p @ f.T + q
-        innov = z - x[0]
-        s = p[0, 0] + r
-        k = p[:, 0] / s
-        self.x = x + k * innov
-        p = p - np.outer(k, p[0, :])
-        self.p = 0.5 * (p + p.T)
-        return float(self.x[0])
-
-
 class PoseKalman:
     """Constant-acceleration smoothing of a rigid pose stream.
 
     Translations are filtered per axis in mm; the quaternion is hemisphere
-    aligned against the last smoothed estimate, filtered per component with
-    the same scalar filter, and renormalized. The first measurement
-    initializes the state, so the first output equals the first input.
+    aligned against the last smoothed estimate, filtered per component in
+    the same way, and renormalized. The first measurement initializes the
+    state, so the first output equals the first input.
+
+    The seven channels share the transition, the noises and the initial
+    covariance, and they always step together, so their covariances stay
+    equal: one 3x3 covariance and a (7, 3) state (one row of position,
+    velocity and acceleration per channel) carry them all.
     """
 
     def __init__(self, cfg: KalmanConfig = KalmanConfig()):
         self.cfg = cfg
-        self._filters = [_ScalarCAFilter(cfg) for _ in range(7)]
+        self._x: np.ndarray | None = None
+        self._p: np.ndarray | None = None
         self._last_q: np.ndarray | None = None
 
     def step(self, measured: RigidTransform, dt: float) -> RigidTransform:
@@ -192,10 +197,22 @@ class PoseKalman:
         q = quat_normalize(measured.q)
         if self._last_q is not None:
             q = hemisphere_align(self._last_q, q)
-        t = np.asarray(measured.t, dtype=float)
-        smoothed_t = np.array([self._filters[i].step(float(t[i]), dt) for i in range(3)])
-        smoothed_q = np.array([self._filters[3 + i].step(float(q[i]), dt)
-                               for i in range(4)])
-        smoothed_q = quat_normalize(smoothed_q)
+        z = np.concatenate([np.asarray(measured.t, dtype=float), q])
+        if self._x is None:
+            self._x = np.zeros((7, 3))
+            self._x[:, 0] = z
+            self._p = np.diag([self.cfg.sigma_m ** 2, 1e2, 1e2])
+        else:
+            f = np.array([[1.0, dt, 0.5 * dt * dt],
+                          [0.0, 1.0, dt],
+                          [0.0, 0.0, 1.0]])
+            g = np.array([0.5 * dt * dt, dt, 1.0])
+            x = np.matvec(f, self._x)
+            p = f @ self._p @ f.T + self.cfg.sigma_a ** 2 * np.outer(g, g)
+            k = p[:, 0] / (p[0, 0] + self.cfg.sigma_m ** 2)
+            self._x = x + np.outer(z - x[:, 0], k)
+            p = p - np.outer(k, p[0, :])
+            self._p = 0.5 * (p + p.T)
+        smoothed_q = quat_normalize(self._x[3:, 0])
         self._last_q = smoothed_q
-        return RigidTransform(smoothed_q, smoothed_t)
+        return RigidTransform(smoothed_q, self._x[:3, 0].copy())

@@ -2,9 +2,11 @@ import json
 import shutil
 import socket
 
+import numpy as np
 import pytest
 
 from vertereg import cli, formats, sim, stream
+from vertereg.geom import RigidTransform
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +16,21 @@ def recording_dir(coarse_scene, tmp_path_factory):
                                                  sim.RecordingSpec(frames=5), seed=0),
                             root)
     return root
+
+
+@pytest.fixture(scope="module")
+def tool_recording(coarse_scene, tmp_path_factory):
+    """Eight frames with the drill sleeve, as ``simulate --tool`` makes them."""
+    root = tmp_path_factory.mktemp("tool_rec")
+    tool = sim.ToolSpec(base_pose=RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]),
+                                                 np.array([0.0, -40.0, 320.0])),
+                        motion=sim.MotionSpec(kind="sine", vector=(10.0, 0.0, 5.0),
+                                              freq_hz=0.25),
+                        corner_sigma_px=0.3)
+    rec = sim.render_recording(coarse_scene, sim.RecordingSpec(frames=8, tool=tool),
+                               seed=0)
+    formats.write_recording(rec, root)
+    return root, rec
 
 
 def test_register_stream_sends_one_datagram_per_frame_in_order(recording_dir, tmp_path):
@@ -130,3 +147,60 @@ def test_register_reports_ascii_model_file_as_format_error(recording_dir, tmp_pa
     doc = _format_error(capsys)
     assert doc["file"] == str(rec / "models" / "vert1.ply")
     assert "format binary_little_endian 1.0" in doc["message"]
+
+
+def test_register_track_and_ablate_repeat_byte_for_byte(tool_recording, tmp_path):
+    root, _ = tool_recording
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"run{k}"
+        for cmd in ("register", "track", "ablate"):
+            assert cli.main([cmd, "--recording", str(root), "--out", str(out / cmd)]) == 0
+        runs.append({p.relative_to(out): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sorted(map(str, runs[0])) == ["ablate/ablation.csv", "register/poses.csv",
+                                         "register/state_log.csv",
+                                         "track/drill_poses.csv"]
+    assert runs[0] == runs[1]
+
+
+def _move_right_corner(root, tmp_path, frame, marker_ids):
+    """Copy of the recording with corner 0 of the markers moved 60 px off
+    the epipolar line in the right view of one frame."""
+    broken = tmp_path / "rec"
+    shutil.copytree(root, broken)
+    path = broken / "observations.csv"
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if fields[0] == str(frame) and int(fields[1]) in marker_ids:
+            fields[11] = repr(float(fields[11]) + 60.0)   # rv0
+            lines[i] = ",".join(fields)
+    assert lines != path.read_text().splitlines()
+    path.write_text("\n".join(lines) + "\n")
+    return broken
+
+
+def _track(recording, out):
+    assert cli.main(["track", "--recording", str(recording), "--out", str(out)]) == 0
+    return formats.poses_by_frame(formats.read_poses(out / "drill_poses.csv"))
+
+
+def test_track_leaves_out_a_marker_with_a_misdetected_corner(tool_recording, tmp_path):
+    root, rec = tool_recording
+    poses = _track(_move_right_corner(root, tmp_path, 4, {0}), tmp_path / "out")
+    assert sorted(poses) == list(range(1, 9))
+    row, want = poses[4][formats.DRILL_SLOT], rec.tool_pose(4)
+    assert row.updated
+    assert np.linalg.norm(row.pose.t - want.t) < 1.0
+
+
+def test_track_holds_the_last_pose_when_too_few_markers_are_reliable(
+        tool_recording, tmp_path):
+    root, _ = tool_recording
+    poses = _track(_move_right_corner(root, tmp_path, 4, {0, 2}), tmp_path / "out")
+    held, last = poses[4][formats.DRILL_SLOT], poses[3][formats.DRILL_SLOT]
+    assert held.valid and not held.updated
+    assert held.pose.t.tolist() == last.pose.t.tolist()
+    assert held.pose.q.tolist() == last.pose.q.tolist()
+    assert poses[5][formats.DRILL_SLOT].updated

@@ -22,6 +22,17 @@ class TestIntrinsics:
             CameraIntrinsics(fx=1.0, fy=1.0, cx=20, cy=0, width=10, height=10)
 
 
+def _depth_to_cloud_2d(depth, intr, mask=None):
+    """The 2-D np.nonzero back-projection that depth_to_cloud replaced."""
+    valid = depth > 0
+    if mask is not None:
+        valid &= mask
+    v, u = np.nonzero(valid)
+    d = depth[v, u]
+    return np.column_stack([d * (u - intr.cx) / intr.fx,
+                            d * (v - intr.cy) / intr.fy, d])
+
+
 class TestDepthToCloud:
     def test_principal_ray(self):
         depth = np.zeros((96, 128))
@@ -46,6 +57,29 @@ class TestDepthToCloud:
         depth[rng.random((96, 128)) < 0.4] = 0.0
         pts = cloud.depth_to_cloud(depth, INTR)
         assert pts.shape[0] == int((depth > 0).sum())
+
+    def test_flat_indices_give_the_bytes_of_the_2d_formula(self):
+        rng = np.random.default_rng(12)
+        depth = rng.uniform(100, 800, (96, 128))
+        depth[rng.random((96, 128)) < 0.3] = 0.0
+        masks = [rng.random((96, 128)) < 0.5, np.zeros((96, 128), bool),
+                 np.ones((96, 128), bool), None]
+        for mask in masks:
+            want = _depth_to_cloud_2d(depth, INTR, mask)
+            got = cloud.depth_to_cloud(depth, INTR, mask)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_depth_view(self):
+        rng = np.random.default_rng(13)
+        big = rng.uniform(100, 800, (192, 256))
+        big[rng.random((192, 256)) < 0.3] = 0.0
+        depth = big[::2, 1::2]
+        assert not depth.flags.c_contiguous
+        mask = rng.random((96, 128)) < 0.5
+        for m in (mask, None):
+            got = cloud.depth_to_cloud(depth, INTR, m)
+            assert got.tobytes() == _depth_to_cloud_2d(depth, INTR, m).tobytes()
 
     def test_render_round_trip(self):
         # points on distinct pixels survive a render/back-project cycle to
@@ -237,6 +271,45 @@ class TestNearestNeighbors:
         if faces:
             # the points just inside the faces do match
             assert index.query(np.array(faces), max_dist)[0].size >= 6
+
+    def test_column_prune_keeps_points_exactly_on_the_padded_faces(self):
+        # the six 1-D compares must send the tree what the (N, 3) compare
+        # sent it: points on a padded face go, one ulp outside does not
+        rng = np.random.default_rng(14)
+        ref = rng.normal(0.0, 10.0, (500, 3))
+        index = cloud.NearestNeighborIndex(ref)
+        max_dist = 2.0
+        pad = max_dist * (1.0 + 1e-9)
+        lo = np.nextafter(ref.min(axis=0) - pad, -np.inf)
+        hi = np.nextafter(ref.max(axis=0) + pad, np.inf)
+        queries = [rng.normal(0.0, 15.0, (300, 3))]
+        for k in range(3):
+            for face, out in ((lo[k], -np.inf), (hi[k], np.inf)):
+                for x in (face, np.nextafter(face, out)):
+                    q = ref.mean(axis=0)
+                    q[k] = x
+                    queries.append(q[None])
+        queries = np.vstack(queries)
+        near = np.flatnonzero(((queries >= lo) & (queries <= hi)).all(axis=1))
+        assert np.isin(300 + 2 * np.arange(6), near).all()
+        assert not np.isin(301 + 2 * np.arange(6), near).any()
+
+        sent = []
+        tree = index._tree
+
+        class Spy:
+            def query(self, x, **kwargs):
+                sent.append(x.copy())
+                return tree.query(x, **kwargs)
+
+        index._tree = Spy()
+        qidx, ridx, d = index.query(queries, max_dist)
+        assert sent[0].tobytes() == queries[near].tobytes()
+        dist, idx = tree.query(queries[near], k=1, distance_upper_bound=max_dist)
+        found = np.isfinite(dist)
+        np.testing.assert_array_equal(qidx, near[found])
+        np.testing.assert_array_equal(ridx, idx[found])
+        assert d.tobytes() == dist[found].tobytes()
 
     def test_distances_nonincreasing_when_reference_grows(self):
         rng = np.random.default_rng(6)

@@ -11,6 +11,58 @@ def random_transform(rng):
     return RigidTransform(geom.random_unit_quat(rng), rng.normal(0, 50, 3))
 
 
+def _quat_to_matrix_reference(q):
+    """quat_to_matrix on numpy float64 scalars, as it was first written."""
+    w, x, y, z = geom.quat_normalize(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _shepperd_branch(m):
+    if m[0, 0] + m[1, 1] + m[2, 2] > 0.0:
+        return 0
+    if m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        return 1
+    return 2 if m[1, 1] > m[2, 2] else 3
+
+
+def _matrix_to_quat_reference(m):
+    """matrix_to_quat on numpy float64 scalars, as it was first written."""
+    branch = _shepperd_branch(m)
+    if branch == 0:
+        s_ = np.sqrt(m[0, 0] + m[1, 1] + m[2, 2] + 1.0) * 2.0
+        q = [0.25 * s_, (m[2, 1] - m[1, 2]) / s_, (m[0, 2] - m[2, 0]) / s_,
+             (m[1, 0] - m[0, 1]) / s_]
+    elif branch == 1:
+        s_ = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = [(m[2, 1] - m[1, 2]) / s_, 0.25 * s_, (m[0, 1] + m[1, 0]) / s_,
+             (m[0, 2] + m[2, 0]) / s_]
+    elif branch == 2:
+        s_ = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = [(m[0, 2] - m[2, 0]) / s_, (m[0, 1] + m[1, 0]) / s_, 0.25 * s_,
+             (m[1, 2] + m[2, 1]) / s_]
+    else:
+        s_ = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = [(m[1, 0] - m[0, 1]) / s_, (m[0, 2] + m[2, 0]) / s_,
+             (m[1, 2] + m[2, 1]) / s_, 0.25 * s_]
+    return geom.quat_normalize(np.array(q))
+
+
+def _umeyama_reference(src, dst):
+    """umeyama with mean(axis=0) centroids and the diag(1, 1, d) flip."""
+    n = src.shape[0]
+    mu_s = src.mean(axis=0)
+    mu_d = dst.mean(axis=0)
+    cov = (dst - mu_d).T @ (src - mu_s) / n
+    u, _, vt = np.linalg.svd(cov)
+    d = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    r = u @ np.diag([1.0, 1.0, d]) @ vt
+    return r, mu_d - r @ mu_s
+
+
 class TestGeodesicAngle:
     def test_identity(self):
         q = geom.quat_normalize(np.array([0.3, -0.5, 0.1, 0.8]))
@@ -44,17 +96,6 @@ class TestGeodesicAngle:
             q = geom.random_unit_quat(rng)
             rotated = geom.quat_mul(geom.z_rotation_quat(alpha), q)
             assert geom.geodesic_angle(q, rotated) == pytest.approx(abs(alpha), abs=1e-9)
-
-
-class TestNormPenalty:
-    def test_unit(self):
-        assert geom.norm_penalty(np.array([1.0, 0, 0, 0])) == pytest.approx(0.0, abs=1e-15)
-
-    def test_norm_two(self):
-        assert geom.norm_penalty(np.array([2.0, 0, 0, 0])) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero(self):
-        assert geom.norm_penalty(np.zeros(4)) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestZRotation:
@@ -121,6 +162,26 @@ class TestUmeyama:
         assert angle < 1e-9 and dist < 1e-9
 
 
+    def test_same_bytes_as_the_reference_formulas(self):
+        rng = np.random.default_rng(15)
+        reflections = 0
+        for i in range(60):
+            n = int(rng.integers(3, 2000))
+            src = rng.normal(rng.normal(0, 50, 3), rng.uniform(0.5, 40), (n, 3))
+            dst = random_transform(rng).apply(src) + rng.normal(0, 1.0, (n, 3))
+            if i % 3 == 0:
+                # a mirrored target needs the reflection fix
+                dst[:, 2] *= -1.0
+            u, _, vt = np.linalg.svd((dst - dst.mean(axis=0)).T
+                                     @ (src - src.mean(axis=0)))
+            reflections += np.linalg.det(u) * np.linalg.det(vt) < 0
+            r, t = _umeyama_reference(src, dst)
+            got = geom.umeyama(src, dst)
+            assert got.q.tobytes() == geom.matrix_to_quat(r).tobytes()
+            assert got.t.tobytes() == t.tobytes()
+        assert reflections >= 10
+
+
 class TestRigidTransform:
     def test_compose_then_invert_is_identity(self):
         rng = np.random.default_rng(9)
@@ -169,6 +230,30 @@ class TestRigidTransform:
     def test_normalize(self):
         t = RigidTransform(np.array([2.0, 0, 0, 0]), np.zeros(3)).normalized()
         np.testing.assert_allclose(t.q, [1, 0, 0, 0], atol=1e-15)
+
+    def test_apply_same_bytes_as_the_transposed_view(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            t = random_transform(rng)
+            r = _quat_to_matrix_reference(t.q)
+            pts = rng.normal(0, 80, (int(rng.integers(1, 3000)), 3))
+            assert t.apply(pts).tobytes() == (pts @ r.T + t.t).tobytes()
+            assert t.apply(pts[0]).tobytes() == (r @ pts[0] + t.t).tobytes()
+
+
+class TestQuaternionMatrix:
+    def test_same_bytes_as_numpy_scalar_arithmetic(self):
+        rng = np.random.default_rng(17)
+        branches = set()
+        for i in range(500):
+            q = rng.normal(size=4) * rng.uniform(0.1, 10.0)
+            if i % 5 == 0:
+                q[i % 4] = 0.0
+            r = _quat_to_matrix_reference(q)
+            assert geom.quat_to_matrix(q).tobytes() == r.tobytes()
+            branches.add(_shepperd_branch(r))
+            assert geom.matrix_to_quat(r).tobytes() == _matrix_to_quat_reference(r).tobytes()
+        assert branches == {0, 1, 2, 3}
 
 
 class TestHemisphereAlign:

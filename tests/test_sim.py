@@ -39,3 +39,19 @@ def test_orientation_prior_is_the_prior_vertebra_orientation(coarse_scene):
     assert frame.oracle_quat.tobytes() == want.tobytes()
     other = frame.gt_poses[sim.PRIOR_VERTEBRA % 5 + 1].q
     assert frame.oracle_quat.tobytes() != other.tobytes()
+
+
+def test_dropout_clears_the_pixels_the_2d_index_formula_picks(coarse_scene):
+    occluder = sim.Occluder(1, 3, (0.0, 0.0, 300.0), (40.0, 40.0, 20.0))
+    spec = sim.RecordingSpec(frames=2, occluders=[occluder])
+    before = sim.render_recording(coarse_scene, spec, seed=3).frame(2).depth
+    spec.dropout = 0.3
+    after = sim.render_recording(coarse_scene, spec, seed=3).frame(2).depth
+    # the draw and the row-major (v, u) order of a 2-D np.nonzero
+    want = before.copy()
+    valid = want > 0
+    drop = np.random.default_rng([3, 2]).random(size=int(valid.sum())) < 0.3
+    vv, uu = np.nonzero(valid)
+    want[vv[drop], uu[drop]] = 0.0
+    assert after.tobytes() == want.tobytes()
+    assert (after == 0).sum() > (before == 0).sum()
