@@ -1,9 +1,10 @@
-"""Ground-truth mask synthesis.
+"""Ground-truth mask synthesis and the segmenter's loss functions.
 
 This provides the oracle stand-in for a learned segmenter: a depth render
 of posed anatomy models is compared against the sensor depth image, the
 agreement mask is smoothed, and the result pairs with a reference
-orientation quaternion.
+orientation quaternion. The dice and batch losses live here too so they
+can be tested as plain math.
 """
 
 from __future__ import annotations
@@ -62,3 +63,25 @@ def smooth_mask(mask: np.ndarray, k: int = 15) -> np.ndarray:
     filtered = ndimage.uniform_filter(mask.astype(float), size=k,
                                       mode="constant", cval=0.0)
     return filtered > 0.5
+
+
+def dice_loss(pred: np.ndarray, gt: np.ndarray, smooth: float = 1.0) -> float:
+    """1 − dice overlap of a real-valued prediction against a binary mask."""
+    pred = np.asarray(pred, dtype=float)
+    gt = np.asarray(gt, dtype=float)
+    if pred.shape != gt.shape:
+        raise ValueError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
+    inter = float((pred * gt).sum())
+    total = float(pred.sum() + gt.sum())
+    return 1.0 - (2.0 * inter + smooth) / (total + smooth)
+
+
+def total_loss(batch: list[tuple[float, float, float]]) -> float:
+    """Batch loss: mean dice plus mean (geodesic + norm penalty).
+
+    ``batch`` holds (dice, geodesic, norm_penalty) triples.
+    """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    arr = np.asarray(batch, dtype=float).reshape(-1, 3)
+    return float(arr[:, 0].mean() + (arr[:, 1] + arr[:, 2]).mean())
