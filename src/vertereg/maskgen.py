@@ -77,9 +77,10 @@ def dice_loss(pred: np.ndarray, gt: np.ndarray, smooth: float = 1.0) -> float:
 
 
 def total_loss(batch: list[tuple[float, float, float]]) -> float:
-    """Batch loss: mean dice plus mean (geodesic + norm penalty).
+    """Batch loss: mean dice plus mean (geodesic + unit-norm penalty).
 
-    ``batch`` holds (dice, geodesic, norm_penalty) triples.
+    ``batch`` holds (dice, geodesic, penalty) triples, the penalty being
+    the unit-norm term (1 - ||q||)^2 of the predicted quaternion.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")

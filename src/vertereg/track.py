@@ -97,6 +97,13 @@ def _triangulate_corners(left_px: np.ndarray, right_px: np.ndarray,
     return 0.5 * (p1 + p2), parallel, np.sqrt(np.vecdot(diff, diff))
 
 
+def _unreliable(parallel: np.ndarray, gap: np.ndarray,
+                max_gap_mm: float) -> np.ndarray:
+    """Corners whose rays are near-parallel or miss each other by more
+    than ``max_gap_mm``."""
+    return parallel | (gap > max_gap_mm)
+
+
 def triangulate(obs: MarkerObservation, rig: StereoRig,
                 max_gap_mm: float = MAX_RAY_GAP_MM) -> np.ndarray:
     """Midpoint triangulation of the four corners, left-camera frame (mm).
@@ -107,13 +114,12 @@ def triangulate(obs: MarkerObservation, rig: StereoRig,
     UnreliableTriangulationError, naming the first such corner.
     """
     points, parallel, gap = _triangulate_corners(obs.left_px, obs.right_px, rig)
-    for k in range(4):
-        if parallel[k]:
-            raise UnreliableTriangulationError(
-                f"corner {k} of marker {obs.marker_id}: viewing rays are parallel")
-        if gap[k] > max_gap_mm:
-            raise UnreliableTriangulationError(
-                f"corner {k} of marker {obs.marker_id}: ray gap {gap[k]:.2f} mm")
+    bad = np.flatnonzero(_unreliable(parallel, gap, max_gap_mm))
+    if bad.size:
+        k = int(bad[0])
+        why = ("viewing rays are parallel" if parallel[k]
+               else f"ray gap {gap[k]:.2f} mm")
+        raise UnreliableTriangulationError(f"corner {k} of marker {obs.marker_id}: {why}")
     return points
 
 
@@ -155,7 +161,7 @@ def track_pose(observations: list[MarkerObservation], rig: StereoRig,
     points, parallel, gap = _triangulate_corners(
         np.vstack([o.left_px for o in usable]),
         np.vstack([o.right_px for o in usable]), rig)
-    reliable = ~(parallel | (gap > MAX_RAY_GAP_MM)).reshape(-1, 4).any(axis=1)
+    reliable = ~_unreliable(parallel, gap, MAX_RAY_GAP_MM).reshape(-1, 4).any(axis=1)
     ids = [o.marker_id for o, ok in zip(usable, reliable) if ok]
     if len(ids) < 2:
         raise InsufficientMarkersError(
