@@ -1,11 +1,11 @@
 """Multi-body rigid registration of vertebra models to depth-sensor data.
 
 The package covers the full desk-scale loop: synthetic scene and recording
-generation (``sim``), oracle segmentation and the loss math behind it
-(``maskgen``), depth/point-cloud plumbing (``cloud``), staged ICP
-registration with gated real-time updates (``register``), stereo tool
-tracking (``track``), clinical outcome metrics (``metrics``), on-disk
-formats (``formats``), pose telemetry (``stream``) and a CLI (``cli``).
+generation (``sim``), oracle segmentation (``maskgen``), depth/point-cloud
+plumbing (``cloud``), staged ICP registration with gated real-time updates
+(``register``), stereo tool tracking (``track``), clinical outcome metrics
+(``metrics``), on-disk formats (``formats``), pose telemetry (``stream``)
+and a CLI (``cli``).
 """
 
 from .cloud import CameraIntrinsics

@@ -14,6 +14,7 @@ to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,22 +33,15 @@ from .track import InsufficientMarkersError, KalmanConfig, PoseKalman, track_pos
 STREAM_ENV = "VERTEREG_STREAM"
 DEFAULT_STREAM = "127.0.0.1:9750"
 
-_REG_KEYS = {
-    "general_max_corr": float,
-    "general_max_iters": int,
-    "epsilon": float,
-    "piecewise_inlier": float,
-    "piecewise_max_iters": int,
-    "piecewise_force_full_iters": formats.parse_bool,
-    "update_gate": float,
-    "mode": str,
-    "stream": str,
-}
 
-_TRACK_KEYS = {
-    "sigma_a": float,
-    "sigma_m": float,
-}
+def _schema(cls) -> dict:
+    """{field: converter} of a config dataclass; every default is an int or
+    a float, so its type parses the value."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+
+
+_REG_KEYS = {**_schema(RegistrationConfig), "mode": str, "stream": str}
+_TRACK_KEYS = _schema(KalmanConfig)
 
 
 def _fail(kind: str, message: str, **extra) -> None:
@@ -62,17 +56,21 @@ def _config_values(path, schema) -> dict:
     return formats.parse_config(path, schema)
 
 
-def _registration_config(args, file_values: dict) -> RegistrationConfig:
-    base = RegistrationConfig()
+def _config(cls, args, file_values: dict):
+    """``cls`` with each field from its flag, else the config file, else its
+    default."""
     merged = {}
-    for key in ("general_max_corr", "general_max_iters", "epsilon",
-                "piecewise_inlier", "piecewise_max_iters",
-                "piecewise_force_full_iters", "update_gate"):
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_values.get(key, getattr(base, key))
-        merged[key] = value
-    return RegistrationConfig(**merged)
+    for f in dataclasses.fields(cls):
+        value = getattr(args, f.name)
+        merged[f.name] = file_values.get(f.name, f.default) if value is None else value
+    return cls(**merged)
+
+
+def _add_flags(parser, cls) -> None:
+    """One ``--field-name`` flag per field of a config dataclass."""
+    for key, conv in _schema(cls).items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=conv,
+                            default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,7 @@ def _state_slots(state) -> list[stream.PoseSlot]:
 
 def cmd_register(args) -> int:
     file_values = _config_values(args.config, _REG_KEYS)
-    cfg = _registration_config(args, file_values)
+    cfg = _config(RegistrationConfig, args, file_values)
     mode = args.mode or file_values.get("mode", "Full")
 
     rec = formats.LoadedRecording(args.recording)
@@ -261,14 +259,8 @@ def cmd_track(args) -> int:
         raise ValueError(f"recording {args.recording} has no stereo observations")
     rig, markers = rec.stereo()
     per_frame = rec.observations()
-    file_values = _config_values(args.config, _TRACK_KEYS)
-    kcfg = KalmanConfig(
-        sigma_a=args.sigma_a if args.sigma_a is not None
-        else file_values.get("sigma_a", KalmanConfig.sigma_a),
-        sigma_m=args.sigma_m if args.sigma_m is not None
-        else file_values.get("sigma_m", KalmanConfig.sigma_m),
-    )
-    kalman = PoseKalman(kcfg)
+    kalman = PoseKalman(_config(KalmanConfig, args,
+                                _config_values(args.config, _TRACK_KEYS)))
     dt = 1.0 / rec.fps
     rows = []
     last = None
@@ -393,8 +385,7 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ablate(args) -> int:
-    file_values = _config_values(args.config, _REG_KEYS)
-    cfg = _registration_config(args, file_values)
+    cfg = _config(RegistrationConfig, args, _config_values(args.config, _REG_KEYS))
     rec = formats.LoadedRecording(args.recording)
     start = (metrics.TRE_START_FRAME
              if rec.frame_count >= metrics.TRE_START_FRAME else 1)
@@ -508,18 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", help="host:port for live pose datagrams")
     p.add_argument("--perturb-initial", metavar="DEG:MM:SEED",
                    help="corrupt the initial pose estimate (robustness testing)")
-    for key, conv in _REG_KEYS.items():
-        if key not in ("mode", "stream"):
-            p.add_argument(f"--{key.replace('_', '-')}",
-                           dest=key, type=conv, default=None)
+    _add_flags(p, RegistrationConfig)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("track", help="smooth drill poses from stereo corners")
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--sigma-a", type=float, default=None)
-    p.add_argument("--sigma-m", type=float, default=None)
+    _add_flags(p, KalmanConfig)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("evaluate", help="score estimated poses vs ground truth")
@@ -534,10 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    for key, conv in _REG_KEYS.items():
-        if key not in ("mode", "stream"):
-            p.add_argument(f"--{key.replace('_', '-')}",
-                           dest=key, type=conv, default=None)
+    _add_flags(p, RegistrationConfig)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("serve", help="replay poses as UDP telemetry")

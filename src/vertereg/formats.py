@@ -35,6 +35,7 @@ f64 bytes, so write-read-write round trips are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -261,30 +262,41 @@ def write_poses(path, rows: list[PoseRow]) -> None:
                     f"{_f(t[0])},{_f(t[1])},{_f(t[2])}\n")
 
 
-def read_poses(path) -> list[PoseRow]:
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")
-    offset = 0
-    if not lines or lines[0].decode("ascii", errors="replace") != POSES_HEADER:
-        raise FormatError(f"bad header, expected {POSES_HEADER!r}", path, offset=0)
-    offset += len(lines[0]) + 1
+def _read_rows(path, header: str, n_fields: int, parse) -> list:
+    """``parse(fields)`` of every nonblank row of a CSV file under ``header``.
+
+    A wrong header, a row with other than ``n_fields`` fields, or a
+    ValueError from ``parse`` raises FormatError at that row's byte offset.
+    """
+    lines = Path(path).read_bytes().split(b"\n")
+    if lines[0].decode("ascii", errors="replace") != header:
+        raise FormatError(f"bad header, expected {header!r}", path, offset=0)
+    offset = len(lines[0]) + 1
     rows = []
     for line in lines[1:]:
         text = line.decode("ascii", errors="replace").strip()
         if text:
             parts = text.split(",")
-            if len(parts) != 11:
-                raise FormatError(f"expected 11 fields, got {len(parts)}", path, offset)
+            if len(parts) != n_fields:
+                raise FormatError(f"expected {n_fields} fields, got {len(parts)}",
+                                  path, offset)
             try:
-                frame, slot = int(parts[0]), int(parts[1])
-                valid, updated = bool(int(parts[2])), bool(int(parts[3]))
-                vals = [float(v) for v in parts[4:]]
+                rows.append(parse(parts))
             except ValueError:
                 raise FormatError(f"bad value in row {text!r}", path, offset)
-            rows.append(PoseRow(frame, slot, valid, updated,
-                                RigidTransform(np.array(vals[:4]), np.array(vals[4:]))))
         offset += len(line) + 1
     return rows
+
+
+def _pose_row(parts: list[str]) -> PoseRow:
+    vals = [float(v) for v in parts[4:]]
+    return PoseRow(int(parts[0]), int(parts[1]), bool(int(parts[2])),
+                   bool(int(parts[3])),
+                   RigidTransform(np.array(vals[:4]), np.array(vals[4:])))
+
+
+def read_poses(path) -> list[PoseRow]:
+    return _read_rows(path, POSES_HEADER, 11, _pose_row)
 
 
 def poses_by_frame(rows: list[PoseRow]) -> dict[int, dict[int, PoseRow]]:
@@ -313,29 +325,16 @@ def write_observations(path, per_frame: dict[int, list[MarkerObservation]]) -> N
                         + ",".join(_f(v) for v in vals) + "\n")
 
 
+def _observation_row(parts: list[str]) -> tuple[int, MarkerObservation]:
+    vals = np.array([float(v) for v in parts[2:]])
+    return int(parts[0]), MarkerObservation(int(parts[1]), vals[:8].reshape(4, 2),
+                                            vals[8:].reshape(4, 2))
+
+
 def read_observations(path) -> dict[int, list[MarkerObservation]]:
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")
-    offset = 0
-    if not lines or lines[0].decode("ascii", errors="replace") != _OBS_HEADER:
-        raise FormatError("bad observations header", path, offset=0)
-    offset += len(lines[0]) + 1
     out: dict[int, list[MarkerObservation]] = {}
-    for line in lines[1:]:
-        text = line.decode("ascii", errors="replace").strip()
-        if text:
-            parts = text.split(",")
-            if len(parts) != 18:
-                raise FormatError(f"expected 18 fields, got {len(parts)}", path, offset)
-            try:
-                frame, marker = int(parts[0]), int(parts[1])
-                vals = np.array([float(v) for v in parts[2:]])
-            except ValueError:
-                raise FormatError(f"bad value in row {text!r}", path, offset)
-            out.setdefault(frame, []).append(
-                MarkerObservation(marker, vals[:8].reshape(4, 2),
-                                  vals[8:].reshape(4, 2)))
-        offset += len(line) + 1
+    for frame, obs in _read_rows(path, _OBS_HEADER, 18, _observation_row):
+        out.setdefault(frame, []).append(obs)
     return out
 
 
@@ -367,10 +366,16 @@ def read_stereo(path) -> tuple[StereoRig, dict[int, np.ndarray]]:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"bad stereo JSON: {e.msg}", path, offset=e.pos)
-    rig = StereoRig(_intrinsics_from(doc["left"]), _intrinsics_from(doc["right"]),
-                    RigidTransform(np.array(doc["baseline"]["q"]),
-                                   np.array(doc["baseline"]["t"])))
-    markers = {int(k): np.array(v) for k, v in doc["markers"].items()}
+    try:
+        rig = StereoRig(_intrinsics_from(doc["left"]), _intrinsics_from(doc["right"]),
+                        RigidTransform(np.array(doc["baseline"]["q"]),
+                                       np.array(doc["baseline"]["t"])))
+        markers = {int(k): np.array(v, dtype=float).reshape(4, 3)
+                   for k, v in doc["markers"].items()}
+    except KeyError as e:
+        raise FormatError(f"stereo.json lacks key {e.args[0]!r}", path)
+    except (AttributeError, TypeError, ValueError) as e:
+        raise FormatError(f"bad value in stereo.json: {e}", path)
     return rig, markers
 
 
@@ -404,18 +409,12 @@ def parse_config(path, schema: dict) -> dict:
     return out
 
 
-def parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # recording directories
 # ---------------------------------------------------------------------------
+
+_ORIENTATION_HEADER = "frame,qw,qx,qy,qz"
+
 
 def _orientation_path(root: Path) -> Path:
     return root / "oracle_orientation.csv"
@@ -453,7 +452,7 @@ def write_recording(rec: sim.Recording, out_dir,
     gt_rows: list[PoseRow] = []
     obs: dict[int, list[MarkerObservation]] = {}
     with open(_orientation_path(root), "w") as fq:
-        fq.write("frame,qw,qx,qy,qz\n")
+        fq.write(_ORIENTATION_HEADER + "\n")
         for frame in rec:
             stem = root / "frames" / f"f{frame.index:06d}"
             write_depth(stem.with_suffix(".dpth"), frame.depth)
@@ -473,33 +472,17 @@ def write_recording(rec: sim.Recording, out_dir,
 
 
 def read_orientations(path) -> dict[int, np.ndarray]:
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")
-    offset = 0
-    if not lines or lines[0].decode("ascii", errors="replace") != "frame,qw,qx,qy,qz":
-        raise FormatError("bad orientation header", path, offset=0)
-    offset += len(lines[0]) + 1
-    out = {}
-    for line in lines[1:]:
-        text = line.decode("ascii", errors="replace").strip()
-        if text:
-            parts = text.split(",")
-            if len(parts) != 5:
-                raise FormatError(f"expected 5 fields, got {len(parts)}", path, offset)
-            try:
-                out[int(parts[0])] = np.array([float(v) for v in parts[1:]])
-            except ValueError:
-                raise FormatError(f"bad value in row {text!r}", path, offset)
-        offset += len(line) + 1
-    return out
+    return dict(_read_rows(path, _ORIENTATION_HEADER, 5, lambda parts: (
+        int(parts[0]), np.array([float(v) for v in parts[1:]]))))
 
 
 def read_recording_meta(root) -> dict:
     """Typed contents of a recording directory's ``recording.json``.
 
     Returns fps, frame_count, seed, tilt_deg, target_vertebra,
-    target_screw, intrinsics and has_tool. A missing file, bad JSON, or a
-    missing or malformed key raises FormatError.
+    target_screw, intrinsics and has_tool. A missing file, bad JSON, a
+    missing or malformed key, fewer than one frame or an fps that is not
+    positive and finite raises FormatError.
     """
     path = Path(root) / "recording.json"
     try:
@@ -509,7 +492,7 @@ def read_recording_meta(root) -> dict:
     except json.JSONDecodeError as e:
         raise FormatError(f"bad recording JSON: {e.msg}", path, offset=e.pos)
     try:
-        return {
+        meta = {
             "fps": float(doc["fps"]),
             "frame_count": int(doc["frames"]),
             "seed": int(doc["seed"]),
@@ -521,12 +504,32 @@ def read_recording_meta(root) -> dict:
         }
     except KeyError as e:
         raise FormatError(f"recording.json lacks key {e.args[0]!r}", path)
-    except (TypeError, ValueError) as e:
+    except (OverflowError, TypeError, ValueError) as e:
         raise FormatError(f"bad value in recording.json: {e}", path)
+    if meta["frame_count"] < 1:
+        raise FormatError(f"recording.json has {meta['frame_count']} frames, "
+                          "need at least 1", path)
+    if not 0.0 < meta["fps"] < math.inf:
+        raise FormatError(f"recording.json fps {meta['fps']!r} is not positive "
+                          "and finite", path)
+    return meta
+
+
+def _require_frames(path, frames, frame_count: int, what: str) -> None:
+    """FormatError naming ``path`` unless ``frames`` holds 1..frame_count."""
+    # if any of those frames is missing, one of the first len(frames) + 1 is
+    for f in range(1, min(frame_count, len(frames) + 1) + 1):
+        if f not in frames:
+            raise FormatError(f"frame {f} lacks {what}", path)
 
 
 class LoadedRecording:
-    """Disk-backed recording with the same frame interface as sim.Recording."""
+    """Disk-backed recording with the same frame interface as sim.Recording.
+
+    Loading checks that the ground truth and the orientation priors cover
+    every frame and that the target screw is one of the target vertebra's
+    plans; a gap raises FormatError naming the file.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
@@ -546,8 +549,23 @@ class LoadedRecording:
             if m.id != i:
                 raise FormatError(f"model id {m.id}, expected {i}",
                                   self.root / "models" / f"vert{i}.json")
+        meta_path = self.root / "recording.json"
+        if not 1 <= self.target_vertebra <= len(self.models):
+            raise FormatError(f"target_vertebra {self.target_vertebra} outside "
+                              f"1..{len(self.models)}", meta_path)
+        plans = self.models[self.target_vertebra - 1].screw_plans
+        if not 0 <= self.target_screw < len(plans):
+            raise FormatError(f"vertebra {self.target_vertebra} has {len(plans)} "
+                              f"screw plans, no target_screw {self.target_screw}",
+                              meta_path)
         self._orientations = read_orientations(_orientation_path(self.root))
-        self._gt = poses_by_frame(read_poses(self.root / "gt_poses.csv"))
+        _require_frames(_orientation_path(self.root), self._orientations,
+                        self.frame_count, "an orientation prior")
+        gt_path = self.root / "gt_poses.csv"
+        self._gt = poses_by_frame(read_poses(gt_path))
+        _require_frames(gt_path, {f for f, row in self._gt.items()
+                                  if row.keys() >= {1, 2, 3, 4, 5}},
+                        self.frame_count, "a pose of each of vertebrae 1-5")
         self._obs = (read_observations(self.root / "observations.csv")
                      if self.has_tool else {})
 

@@ -96,11 +96,6 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
-def z_rotation_quat(alpha: float) -> np.ndarray:
-    """Quaternion for a rotation of ``alpha`` radians about the z axis."""
-    return np.array([np.cos(alpha / 2.0), 0.0, 0.0, np.sin(alpha / 2.0)])
-
-
 def axis_angle_quat(axis: np.ndarray, angle: float) -> np.ndarray:
     """Quaternion for a rotation of ``angle`` radians about a unit axis."""
     axis = np.asarray(axis, dtype=float)
@@ -118,12 +113,6 @@ def hemisphere_align(q_ref: np.ndarray, q: np.ndarray) -> np.ndarray:
     if float(np.dot(q_ref, q)) < 0.0:
         return -np.asarray(q, dtype=float)
     return np.asarray(q, dtype=float)
-
-
-def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
-    """Uniformly distributed unit quaternion (uniform rotation)."""
-    v = rng.normal(size=4)
-    return v / np.linalg.norm(v)
 
 
 def geodesic_angle(q_t: np.ndarray, q_p: np.ndarray) -> float:
@@ -152,10 +141,6 @@ class RigidTransform:
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
-    @staticmethod
-    def from_parts(q, t) -> "RigidTransform":
-        return RigidTransform(quat_normalize(q), np.asarray(t, dtype=float).reshape(3))
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "RigidTransform":

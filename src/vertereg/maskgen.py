@@ -1,10 +1,9 @@
-"""Ground-truth mask synthesis and the segmenter's loss functions.
+"""Ground-truth mask synthesis.
 
 This provides the oracle stand-in for a learned segmenter: a depth render
 of posed anatomy models is compared against the sensor depth image, the
 agreement mask is smoothed, and the result pairs with a reference
-orientation quaternion. The dice and batch losses live here too so they
-can be tested as plain math.
+orientation quaternion.
 """
 
 from __future__ import annotations
@@ -63,26 +62,3 @@ def smooth_mask(mask: np.ndarray, k: int = 15) -> np.ndarray:
     filtered = ndimage.uniform_filter(mask.astype(float), size=k,
                                       mode="constant", cval=0.0)
     return filtered > 0.5
-
-
-def dice_loss(pred: np.ndarray, gt: np.ndarray, smooth: float = 1.0) -> float:
-    """1 − dice overlap of a real-valued prediction against a binary mask."""
-    pred = np.asarray(pred, dtype=float)
-    gt = np.asarray(gt, dtype=float)
-    if pred.shape != gt.shape:
-        raise ValueError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    inter = float((pred * gt).sum())
-    total = float(pred.sum() + gt.sum())
-    return 1.0 - (2.0 * inter + smooth) / (total + smooth)
-
-
-def total_loss(batch: list[tuple[float, float, float]]) -> float:
-    """Batch loss: mean dice plus mean (geodesic + unit-norm penalty).
-
-    ``batch`` holds (dice, geodesic, penalty) triples, the penalty being
-    the unit-norm term (1 - ||q||)^2 of the predicted quaternion.
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    arr = np.asarray(batch, dtype=float).reshape(-1, 3)
-    return float(arr[:, 0].mean() + (arr[:, 1] + arr[:, 2]).mean())

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from .geom import RigidTransform, quat_to_matrix
-from .register import (UPDATE_FRAMES, RegistrationConfig, RegistrationState,
-                       ScrewPlan, VertebraModel, run_recording, unrefined_track)
+from .register import (UPDATE_FRAMES, RegistrationConfig, ScrewPlan,
+                       VertebraModel, general_state, run_recording)
 
 TRE_START_FRAME = 61
 SAFE_PERFORATION_MM = 2.0
@@ -130,9 +130,7 @@ def run_ablation(frames, models: list[VertebraModel], segmenter,
     full = run_recording(frames, models, segmenter, cfg, mode="Full")
     for interaction, state in enumerate(full):
         if interaction == 0:
-            held["General"] = RegistrationState(
-                {vid: unrefined_track(state.en_bloc) for vid in state.vertebrae},
-                state.frame_index, state.en_bloc)
+            held["General"] = general_state(state)
         for mode, limit in UPDATE_FRAMES.items():
             if interaction == limit:
                 held.setdefault(mode, state)

@@ -38,7 +38,8 @@ from .geom import (RigidTransform, pose_difference, quat_mul, quat_normalize,
                    umeyama)
 
 # Interaction frames that update in each ablation mode (None: every frame);
-# General also skips the per-vertebra refinement of the initial frame.
+# General also shows the en-bloc pose in place of the refinement
+# (``general_state``).
 UPDATE_FRAMES = {"General": 0, "Refinement": 0, "First-60": 60, "Full": None}
 ABLATION_MODES = tuple(UPDATE_FRAMES)
 
@@ -142,7 +143,6 @@ class RegistrationConfig:
     epsilon: float = 1e-8
     piecewise_inlier: float = 2.0        # mm, strict inlier gate
     piecewise_max_iters: int = 50
-    piecewise_force_full_iters: bool = False
     update_gate: float = 0.9             # fraction of the refinement baseline
                                          # (scene points within the inlier gate)
 
@@ -165,16 +165,19 @@ class VertebraTrack:
     inliers: int = 0         # inlier count observed this frame
 
 
-def unrefined_track(pose: RigidTransform) -> VertebraTrack:
-    """A vertebra left at the en-bloc pose, as the General mode shows it."""
-    return VertebraTrack(pose, 0, True, False)
-
-
 @dataclass
 class RegistrationState:
     vertebrae: dict[int, VertebraTrack]
     frame_index: int
     en_bloc: RigidTransform    # general-alignment pose of the initial frame
+
+
+def general_state(state: RegistrationState) -> RegistrationState:
+    """The initial ``state`` as the General mode shows it: every vertebra
+    at the en-bloc pose, unrefined."""
+    return RegistrationState({vid: VertebraTrack(state.en_bloc, 0, True, False)
+                              for vid in state.vertebrae},
+                             state.frame_index, state.en_bloc)
 
 
 def initial_pose(pc_s: np.ndarray, q_p: np.ndarray) -> RigidTransform:
@@ -244,9 +247,8 @@ def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
 
     Iterates nearest-neighbor matching and a rigid fit on the inliers until
     the mean inlier distance stops decreasing (by more than ``epsilon``) or
-    ``piecewise_max_iters`` rounds have run; ``piecewise_force_full_iters``
-    disables the early stop. Returns the refined pose and the inlier count
-    at that pose, which becomes the update-gate baseline.
+    ``piecewise_max_iters`` rounds have run. Returns the refined pose and
+    the inlier count at that pose, which becomes the update-gate baseline.
     """
     pose = t_gen.normalized()
     prev_mean = np.inf
@@ -256,7 +258,7 @@ def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
         if midx.size < 3:
             raise RefinementDegenerateError(model.id, it)
         mean = float(dist.mean())
-        if not cfg.piecewise_force_full_iters and prev_mean - mean <= cfg.epsilon:
+        if prev_mean - mean <= cfg.epsilon:
             return pose, int(midx.size)
         delta = umeyama(pose.apply(model.reg_points[midx]), scene[sidx])
         pose = delta.compose(pose)
@@ -288,17 +290,16 @@ def update_pose(track: VertebraTrack, model: VertebraModel, scene: np.ndarray,
 
 def register_initial_frame(frame, models: list[VertebraModel], segmenter,
                            cfg: RegistrationConfig,
-                           initial_perturbation: RigidTransform | None = None,
-                           refine: bool = True) -> RegistrationState:
+                           initial_perturbation: RigidTransform | None = None
+                           ) -> RegistrationState:
     """Full registration on an unoccluded initial frame.
 
     Runs segmentation, largest-component selection, cloud conversion, the
-    pose prior, general alignment and (unless ``refine`` is False, used by
-    the ablation modes) per-vertebra refinement. ``initial_perturbation``
-    degrades the pose prior to stress-test convergence: its rotation turns
-    the prior about the prior's own centre, the centroid of the segmented
-    cloud, and its translation shifts that centre. The returned state keeps
-    the en-bloc pose as ``en_bloc``.
+    pose prior, general alignment and per-vertebra refinement.
+    ``initial_perturbation`` degrades the pose prior to stress-test
+    convergence: its rotation turns the prior about the prior's own centre,
+    the centroid of the segmented cloud, and its translation shifts that
+    centre. The returned state keeps the en-bloc pose as ``en_bloc``.
     """
     mask, q_p = segmenter(frame)
     comp = largest_component(mask)
@@ -319,9 +320,6 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
 
     vertebrae: dict[int, VertebraTrack] = {}
     for model in sorted(models, key=lambda m: m.id):
-        if not refine:
-            vertebrae[model.id] = unrefined_track(t_gen)
-            continue
         try:
             pose, baseline = piecewise_refine(model, t_gen, pc_s, cfg)
             vertebrae[model.id] = VertebraTrack(pose, baseline, True, False,
@@ -365,11 +363,11 @@ def run_recording(frames, models: list[VertebraModel], segmenter,
 
     A generator: it yields one state per frame as soon as that frame is
     registered, and reads the next frame only when asked for the next
-    state. ``UPDATE_FRAMES`` holds the modes: ``General`` stops after
-    en-bloc alignment, ``Refinement`` adds the per-vertebra refinement but
-    never updates, ``First-60`` updates for the first 60 interaction frames
-    only, and ``Full`` updates throughout. A frame that does not update
-    holds the previous poses.
+    state. ``UPDATE_FRAMES`` holds the modes: ``General`` shows the
+    en-bloc pose (``general_state``) and never updates, ``Refinement``
+    shows the per-vertebra refinement but never updates, ``First-60``
+    updates for the first 60 interaction frames only, and ``Full`` updates
+    throughout. A frame that does not update holds the previous poses.
     """
     if mode not in ABLATION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {ABLATION_MODES}")
@@ -377,8 +375,9 @@ def run_recording(frames, models: list[VertebraModel], segmenter,
     it = iter(frames)
     first = next(it)
     state = register_initial_frame(first, models, segmenter, cfg,
-                                   initial_perturbation=initial_perturbation,
-                                   refine=(mode != "General"))
+                                   initial_perturbation=initial_perturbation)
+    if mode == "General":
+        state = general_state(state)
     yield state
     for interaction, frame in enumerate(it, start=1):
         if limit is None or interaction <= limit:

@@ -17,10 +17,6 @@ from .cloud import CameraIntrinsics
 from .geom import RigidTransform, hemisphere_align, quat_normalize, quat_to_matrix, umeyama
 
 
-class UnreliableTriangulationError(RuntimeError):
-    """Rays are near-parallel or miss each other by too much."""
-
-
 class InsufficientMarkersError(ValueError):
     """Fewer than two markers were observed in both views."""
 
@@ -97,32 +93,6 @@ def _triangulate_corners(left_px: np.ndarray, right_px: np.ndarray,
     return 0.5 * (p1 + p2), parallel, np.sqrt(np.vecdot(diff, diff))
 
 
-def _unreliable(parallel: np.ndarray, gap: np.ndarray,
-                max_gap_mm: float) -> np.ndarray:
-    """Corners whose rays are near-parallel or miss each other by more
-    than ``max_gap_mm``."""
-    return parallel | (gap > max_gap_mm)
-
-
-def triangulate(obs: MarkerObservation, rig: StereoRig,
-                max_gap_mm: float = MAX_RAY_GAP_MM) -> np.ndarray:
-    """Midpoint triangulation of the four corners, left-camera frame (mm).
-
-    For each corner pair the closest points of the two viewing rays are
-    found; their midpoint is the estimate. Near-parallel rays or a
-    closest-approach gap above ``max_gap_mm`` raise
-    UnreliableTriangulationError, naming the first such corner.
-    """
-    points, parallel, gap = _triangulate_corners(obs.left_px, obs.right_px, rig)
-    bad = np.flatnonzero(_unreliable(parallel, gap, max_gap_mm))
-    if bad.size:
-        k = int(bad[0])
-        why = ("viewing rays are parallel" if parallel[k]
-               else f"ray gap {gap[k]:.2f} mm")
-        raise UnreliableTriangulationError(f"corner {k} of marker {obs.marker_id}: {why}")
-    return points
-
-
 def marker_pose(observed_3d: np.ndarray, reference: dict[int, np.ndarray],
                 ids: list[int]) -> RigidTransform:
     """Sleeve pose from triangulated corner coordinates.
@@ -151,8 +121,10 @@ def track_pose(observations: list[MarkerObservation], rig: StereoRig,
                reference: dict[int, np.ndarray]) -> RigidTransform:
     """Triangulate every known observed marker and fit the sleeve pose.
 
-    A marker with an unreliable corner (see ``triangulate``) is left out
-    of the fit; fewer than two markers left raise InsufficientMarkersError.
+    A marker with an unreliable corner, one whose viewing rays are
+    near-parallel or miss each other by more than ``MAX_RAY_GAP_MM``, is
+    left out of the fit; fewer than two markers left raise
+    InsufficientMarkersError.
     """
     usable = [o for o in observations if o.marker_id in reference]
     if len(usable) < 2:
@@ -161,7 +133,7 @@ def track_pose(observations: list[MarkerObservation], rig: StereoRig,
     points, parallel, gap = _triangulate_corners(
         np.vstack([o.left_px for o in usable]),
         np.vstack([o.right_px for o in usable]), rig)
-    reliable = ~_unreliable(parallel, gap, MAX_RAY_GAP_MM).reshape(-1, 4).any(axis=1)
+    reliable = ~(parallel | (gap > MAX_RAY_GAP_MM)).reshape(-1, 4).any(axis=1)
     ids = [o.marker_id for o, ok in zip(usable, reliable) if ok]
     if len(ids) < 2:
         raise InsufficientMarkersError(

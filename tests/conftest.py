@@ -15,6 +15,12 @@ def default_cfg():
     return register.RegistrationConfig()
 
 
+def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
+    """Uniformly distributed unit quaternion (uniform rotation)."""
+    v = rng.normal(size=4)
+    return v / np.linalg.norm(v)
+
+
 def bake_selfconsistent_models(scene, seed=0):
     """Rebuild the scene's models from their own rendered cloud.
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import socket
 
@@ -204,3 +205,155 @@ def test_track_holds_the_last_pose_when_too_few_markers_are_reliable(
     assert held.pose.t.tolist() == last.pose.t.tolist()
     assert held.pose.q.tolist() == last.pose.q.tolist()
     assert poses[5][formats.DRILL_SLOT].updated
+
+
+def _set_meta(key, text):
+    """Set one value of recording.json to the literal JSON ``text``."""
+    def apply(rec):
+        path = rec / "recording.json"
+        path.write_text(re.sub(rf'"{key}": [^,\n]+', f'"{key}": {text}',
+                               path.read_text()))
+    return apply
+
+
+def _drop_rows(name, *leading):
+    """Delete the rows of a CSV file whose first fields are ``leading``."""
+    def apply(rec):
+        path = rec / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines
+                                  if line.split(",")[:len(leading)] != list(leading))
+                        + "\n")
+    return apply
+
+
+def _edit_stereo(change):
+    def apply(rec):
+        path = rec / "stereo.json"
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+# malformed recordings of eight frames: case -> (change, command, file named)
+RECORDING_ERRORS = {
+    "stereo without markers": (_edit_stereo(lambda doc: doc.pop("markers")), "track",
+                               "stereo.json"),
+    "marker with two corners": (_edit_stereo(lambda doc: doc["markers"].update(
+        {"0": [[1.0, 2.0], [3.0, 4.0]]})), "track", "stereo.json"),
+    "target screw past the plans": (_set_meta("target_screw", "5"), "evaluate",
+                                    "recording.json"),
+    "target vertebra 6": (_set_meta("target_vertebra", "6"), "register",
+                          "recording.json"),
+    "orientation row missing": (_drop_rows("oracle_orientation.csv", "5"),
+                                "register", "oracle_orientation.csv"),
+    "ground-truth frame missing": (_drop_rows("gt_poses.csv", "6"), "evaluate",
+                                   "gt_poses.csv"),
+    "ground-truth vertebra missing": (_drop_rows("gt_poses.csv", "3", "2"),
+                                      "ablate", "gt_poses.csv"),
+    "frame count overflows": (_set_meta("frames", "1e400"), "register",
+                              "recording.json"),
+    "zero frames": (_set_meta("frames", "0"), "register", "recording.json"),
+    "more frames than recorded": (_set_meta("frames", "12"), "register",
+                                  "oracle_orientation.csv"),
+    "zero fps": (_set_meta("fps", "0"), "track", "recording.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDING_ERRORS))
+def test_malformed_recording_is_a_format_error_naming_the_file(
+        tool_recording, tmp_path, capsys, case):
+    root, _ = tool_recording
+    change, command, name = RECORDING_ERRORS[case]
+    rec = tmp_path / "rec"
+    shutil.copytree(root, rec)
+    before = {p: p.read_bytes() for p in rec.rglob("*") if p.is_file()}
+    change(rec)
+    assert {p: p.read_bytes() for p in rec.rglob("*") if p.is_file()} != before
+    argv = [command, "--recording", str(rec), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--poses", str(root / "gt_poses.csv")]
+    assert cli.main(argv) == 2
+    assert _format_error(capsys)["file"] == str(rec / name)
+
+
+def _screw_perforations(out):
+    lines = (out / "screw_metrics.csv").read_text().splitlines()[1:]
+    return [line.split(",")[5] for line in lines]
+
+
+def test_lateral_only_perforation_is_never_below_the_capped_depth(
+        recording_dir, tmp_path):
+    # every estimate 10 mm off along x and z pushes the screws into the pedicles
+    rows = formats.read_poses(recording_dir / "gt_poses.csv")
+    shifted = [formats.PoseRow(r.frame, r.slot, True, True,
+                               RigidTransform(r.pose.q, r.pose.t + [10.0, 0.0, 10.0]))
+               for r in rows]
+    formats.write_poses(tmp_path / "poses.csv", shifted)
+    runs = {}
+    for extra in ([], ["--lateral-only"]):
+        out = tmp_path / ("lateral" if extra else "capped")
+        assert cli.main(["evaluate", "--recording", str(recording_dir), "--poses",
+                         str(tmp_path / "poses.csv"), "--out", str(out)] + extra) == 0
+        runs[bool(extra)] = _screw_perforations(out)
+    pairs = list(zip(runs[False], runs[True]))
+    assert all((capped == "") == (lateral == "") for capped, lateral in pairs)
+    deeper = [float(lateral) - float(capped) for capped, lateral in pairs if capped]
+    assert deeper and min(deeper) >= 0.0 and max(deeper) > 0.0
+
+
+class _Configured(Exception):
+    """Carries the arguments a command handed to the stage under test."""
+
+
+def _capture(*args, **kwargs):
+    raise _Configured(args, kwargs)
+
+
+# command -> (module and name of the stage to stop at, (config, mode) of its call)
+CONFIG_USERS = {
+    "register": (cli, "run_recording", lambda args, kwargs: (args[3], kwargs["mode"])),
+    "ablate": (cli.metrics, "run_ablation", lambda args, kwargs: (args[3], None)),
+    "track": (cli, "PoseKalman", lambda args, kwargs: (args[0], None)),
+}
+
+
+@pytest.mark.parametrize("command,file_text,flags,want,want_mode", [
+    ("register", "", [], {"general_max_iters": 50, "update_gate": 0.9}, "Full"),
+    ("register", "general_max_iters = 7\nupdate_gate = 0.8\nmode = Refinement\n",
+     ["--update-gate", "0.7"],
+     {"general_max_iters": 7, "update_gate": 0.7, "piecewise_inlier": 2.0},
+     "Refinement"),
+    ("register", "mode = Refinement\n", ["--mode", "General"], {}, "General"),
+    ("ablate", "epsilon = 1e-6\npiecewise_max_iters = 9\n",
+     ["--piecewise-max-iters", "3"],
+     {"epsilon": 1e-6, "piecewise_max_iters": 3, "general_max_corr": 5.0}, None),
+    ("track", "", [], {"sigma_a": 2.0, "sigma_m": 0.5}, None),
+    ("track", "sigma_a = 3.0\nsigma_m = 0.7\n", ["--sigma-m", "0.4"],
+     {"sigma_a": 3.0, "sigma_m": 0.4}, None),
+])
+def test_each_setting_comes_from_its_flag_then_the_file_then_the_default(
+        tool_recording, tmp_path, monkeypatch, command, file_text, flags, want,
+        want_mode):
+    root, _ = tool_recording
+    module, stage, unpack = CONFIG_USERS[command]
+    monkeypatch.setattr(module, stage, _capture)
+    argv = [command, "--recording", str(root), "--out", str(tmp_path / "out")]
+    if file_text:
+        (tmp_path / "cfg").write_text(file_text)
+        argv += ["--config", str(tmp_path / "cfg")]
+    with pytest.raises(_Configured) as e:
+        cli.main(argv + flags)
+    cfg, mode = unpack(*e.value.args)
+    assert {key: getattr(cfg, key) for key in want} == want
+    assert mode == want_mode
+
+
+def test_a_config_file_with_an_unknown_key_is_a_format_error(recording_dir, tmp_path,
+                                                         capsys):
+    (tmp_path / "cfg").write_text("piecewise_force_full_iters = true\n")
+    rc = cli.main(["register", "--recording", str(recording_dir), "--out",
+                   str(tmp_path / "out"), "--config", str(tmp_path / "cfg")])
+    assert rc == 2
+    assert "unknown configuration key" in _format_error(capsys)["message"]

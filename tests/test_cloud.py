@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import random_unit_quat
 from vertereg import cloud, maskgen
 from vertereg.cloud import CameraIntrinsics
-from vertereg.geom import RigidTransform, random_unit_quat
+from vertereg.geom import RigidTransform
 
 
 INTR = CameraIntrinsics(fx=300.0, fy=300.0, cx=64.0, cy=48.0, width=128, height=96)

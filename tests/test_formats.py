@@ -4,7 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vertereg import formats
+from vertereg import cli, formats, track
+from vertereg.geom import RigidTransform
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _SETTINGS = settings(max_examples=200, deadline=None,
@@ -112,3 +113,78 @@ def test_malformed_vertex_counts_are_rejected(small_ply, tmp_path, line):
     data = small_ply.replace(b"element vertex 4", line, 1)
     with pytest.raises(formats.FormatError, match="element vertex"):
         _read_bytes(tmp_path, data)
+
+
+def _written(write):
+    """Bytes of a file made by ``write(path)``."""
+    def make(tmp_path):
+        path = tmp_path / "sample"
+        write(path)
+        return path.read_bytes()
+    return make
+
+
+_POSE = RigidTransform(np.array([0.5, 0.5, -0.5, 0.5]), np.array([1.25, -2.0, 300.0]))
+
+# reader -> (parse a file, make a valid file of its format)
+READERS = {
+    "depth": (formats.read_depth, _written(lambda p: formats.write_depth(
+        p, np.arange(12.0).reshape(3, 4) * 100.0))),
+    "mask": (formats.read_mask, _written(lambda p: formats.write_mask(
+        p, np.arange(30).reshape(3, 10) % 3 == 0))),
+    "poses": (formats.read_poses, _written(lambda p: formats.write_poses(
+        p, [formats.PoseRow(1, 2, True, False, _POSE),
+            formats.PoseRow(2, 6, False, True, _POSE)]))),
+    "observations": (formats.read_observations, _written(
+        lambda p: formats.write_observations(p, {3: [track.MarkerObservation(
+            1, np.arange(8.0).reshape(4, 2), np.arange(8.0).reshape(4, 2) + 0.5)]}))),
+    "orientations": (formats.read_orientations, _written(
+        lambda p: p.write_text("frame,qw,qx,qy,qz\n1,1.0,0.0,0.0,0.0\n"
+                               "2,0.5,0.5,-0.5,0.5\n"))),
+    "config": (lambda p: formats.parse_config(p, cli._REG_KEYS), _written(
+        lambda p: p.write_text("# tuned\ngeneral_max_iters = 40\n"
+                               "update_gate = 0.85\nmode = Full\n"))),
+}
+
+
+def _parses_or_format_error(read, path):
+    try:
+        read(path)
+    except formats.FormatError:
+        pass
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_accepts_its_own_files(tmp_path, reader):
+    read, make = READERS[reader]
+    path = tmp_path / "sample"
+    path.write_bytes(make(tmp_path))
+    read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@_SETTINGS
+@given(data=st.data())
+def test_any_prefix_and_tail_either_parses_or_is_a_format_error(tmp_path, reader,
+                                                                data):
+    read, make = READERS[reader]
+    valid = make(tmp_path)
+    # a prefix of length 0 with any tail is any byte string at all
+    cut = data.draw(st.integers(0, len(valid)))
+    path = tmp_path / "fuzzed"
+    path.write_bytes(valid[:cut] + data.draw(st.binary(max_size=64)))
+    _parses_or_format_error(read, path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@_SETTINGS
+@given(data=st.data())
+def test_any_single_byte_change_either_parses_or_is_a_format_error(tmp_path, reader,
+                                                                   data):
+    read, make = READERS[reader]
+    valid = make(tmp_path)
+    pos = data.draw(st.integers(0, len(valid) - 1))
+    value = data.draw(st.integers(0, 255))
+    path = tmp_path / "fuzzed"
+    path.write_bytes(valid[:pos] + bytes([value]) + valid[pos + 1:])
+    _parses_or_format_error(read, path)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_unit_quat
 from vertereg import geom
 from vertereg.geom import RigidTransform
 
 
 def random_transform(rng):
-    return RigidTransform(geom.random_unit_quat(rng), rng.normal(0, 50, 3))
+    return RigidTransform(random_unit_quat(rng), rng.normal(0, 50, 3))
 
 
 def _quat_to_matrix_reference(q):
@@ -75,7 +76,7 @@ class TestGeodesicAngle:
 
     def test_double_cover(self):
         rng = np.random.default_rng(1)
-        q = geom.random_unit_quat(rng)
+        q = random_unit_quat(rng)
         assert geom.geodesic_angle(q, -q) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_norm_rejected(self):
@@ -85,7 +86,7 @@ class TestGeodesicAngle:
     def test_symmetric_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            a, b = geom.random_unit_quat(rng), geom.random_unit_quat(rng)
+            a, b = random_unit_quat(rng), random_unit_quat(rng)
             ab = geom.geodesic_angle(a, b)
             assert ab == pytest.approx(geom.geodesic_angle(b, a), abs=1e-12)
             assert 0.0 <= ab <= math.pi
@@ -93,24 +94,30 @@ class TestGeodesicAngle:
     def test_z_rotation_distance(self):
         rng = np.random.default_rng(3)
         for alpha in (-3.0, -1.2, 0.0, 0.4, 2.9, math.pi):
-            q = geom.random_unit_quat(rng)
-            rotated = geom.quat_mul(geom.z_rotation_quat(alpha), q)
+            q = random_unit_quat(rng)
+            rotated = geom.quat_mul(geom.axis_angle_quat([0, 0, 1], alpha), q)
             assert geom.geodesic_angle(q, rotated) == pytest.approx(abs(alpha), abs=1e-9)
 
 
 class TestZRotation:
+    """``axis_angle_quat`` about the z axis, the simplest rotation it builds."""
+
     def test_zero(self):
-        np.testing.assert_allclose(geom.z_rotation_quat(0.0), [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(geom.axis_angle_quat([0, 0, 1], 0.0), [1, 0, 0, 0],
+                                   atol=1e-15)
 
     def test_pi(self):
-        np.testing.assert_allclose(geom.z_rotation_quat(math.pi), [0, 0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(geom.axis_angle_quat([0, 0, 1], math.pi),
+                                   [0, 0, 0, 1], atol=1e-15)
 
     def test_composition_adds_angles(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             a, b = rng.uniform(-1.5, 1.5, size=2)
-            lhs = geom.quat_mul(geom.z_rotation_quat(a), geom.z_rotation_quat(b))
-            np.testing.assert_allclose(lhs, geom.z_rotation_quat(a + b), atol=1e-12)
+            lhs = geom.quat_mul(geom.axis_angle_quat([0, 0, 1], a),
+                                geom.axis_angle_quat([0, 0, 1], b))
+            np.testing.assert_allclose(lhs, geom.axis_angle_quat([0, 0, 1], a + b),
+                                       atol=1e-12)
 
 
 class TestUmeyama:
@@ -263,5 +270,5 @@ class TestHemisphereAlign:
 
     def test_keeps_positive_dot(self):
         rng = np.random.default_rng(14)
-        q = geom.random_unit_quat(rng)
+        q = random_unit_quat(rng)
         np.testing.assert_array_equal(geom.hemisphere_align(q, q), q)

@@ -121,67 +121,3 @@ class TestSmoothMask:
         mask = rng.random((15, 15)) < 0.5
         np.testing.assert_array_equal(maskgen.smooth_mask(mask, k=1), mask)
 
-
-class TestDiceLoss:
-    def test_perfect_overlap_near_zero(self):
-        gt = np.zeros((20, 20))
-        gt[5:15, 5:15] = 1.0
-        loss = maskgen.dice_loss(gt, gt)
-        assert loss == pytest.approx(0.0, abs=1e-2)  # only the +1 smoothing
-
-    def test_disjoint_near_one(self):
-        a = np.zeros((20, 20))
-        b = np.zeros((20, 20))
-        a[:5] = 1.0
-        b[10:] = 1.0
-        assert maskgen.dice_loss(a, b) == pytest.approx(1.0, abs=1e-2)
-
-    def test_half_overlap(self):
-        n = 200
-        pred = np.zeros(2 * n)
-        gt = np.zeros(2 * n)
-        pred[:n] = 1.0
-        gt[n // 2: n // 2 + n] = 1.0
-        loss = maskgen.dice_loss(pred, gt)
-        # 1 - (n + 1) / (2n + 1)
-        assert loss == pytest.approx(n / (2 * n + 1), abs=1e-12)
-        assert loss == pytest.approx(0.5, abs=2.0 / n)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            maskgen.dice_loss(np.zeros((3, 3)), np.zeros((4, 4)))
-
-    def test_range_and_symmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = (rng.random((10, 10)) < 0.5).astype(float)
-            b = (rng.random((10, 10)) < 0.5).astype(float)
-            ab = maskgen.dice_loss(a, b)
-            assert 0.0 <= ab <= 1.0
-            assert ab == pytest.approx(maskgen.dice_loss(b, a), abs=1e-12)
-
-
-class TestTotalLoss:
-    def test_zero_batch(self):
-        assert maskgen.total_loss([(0.0, 0.0, 0.0)]) == 0.0
-
-    def test_worked_example(self):
-        loss = maskgen.total_loss([(0.2, 0.1, 0.0), (0.4, 0.3, 0.1)])
-        assert loss == pytest.approx(0.55, abs=1e-12)
-
-    def test_duplication_invariance(self):
-        batch = [(0.3, 0.2, 0.05), (0.6, 0.1, 0.0)]
-        assert maskgen.total_loss(batch) == pytest.approx(
-            maskgen.total_loss(batch + batch), abs=1e-12)
-
-    def test_concatenation_of_equal_batches(self):
-        rng = np.random.default_rng(4)
-        a = [tuple(rng.random(3)) for _ in range(8)]
-        b = [tuple(rng.random(3)) for _ in range(8)]
-        combined = maskgen.total_loss(a + b)
-        assert combined == pytest.approx(
-            0.5 * (maskgen.total_loss(a) + maskgen.total_loss(b)), abs=1e-12)
-
-    def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            maskgen.total_loss([])

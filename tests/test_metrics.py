@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from vertereg import metrics, register, sim
+from vertereg.geom import RigidTransform
 
 
 @pytest.fixture(scope="module")
@@ -43,16 +45,40 @@ def test_ablation_registers_the_initial_frame_once(monkeypatch, coarse_scene,
     initial = register.register_initial_frame
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("refine", True))
+        calls.append(args[0].index)
         return initial(*args, **kwargs)
 
     monkeypatch.setattr(register, "register_initial_frame", counting)
     metrics.run_ablation(rec, coarse_scene.models, sim.oracle_segmenter,
                          default_cfg, rec.gt_pose)
-    assert calls == [True]
+    assert calls == [1]
 
 
 def test_recording_tre_is_the_mean_from_the_start_frame():
     assert metrics.recording_tre([9.0, 1.0, 2.0], start_frame=2) == 1.5
     with pytest.raises(ValueError):
         metrics.recording_tre([1.0], start_frame=2)
+
+
+@pytest.mark.parametrize("normal,want", [([0.0, 0.0, 2.0], 0.0), ([0.0, 0.0, -1.0], 0.0),
+                                         ([1.0, 0.0, 0.0], 90.0)])
+def test_viewpoint_angle_treats_the_normal_as_a_line(normal, want):
+    got = metrics.viewpoint_angle(np.array([0.0, 0.0, 1.0]), np.array(normal))
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_viewpoint_at_exactly_the_limit_is_not_acceptable():
+    assert metrics.viewpoint_acceptable(np.nextafter(metrics.MAX_VIEWPOINT_ANGLE_DEG, 0))
+    assert not metrics.viewpoint_acceptable(metrics.MAX_VIEWPOINT_ANGLE_DEG)
+
+
+def test_lateral_perforation_ignores_a_nearby_end_cap():
+    plan = register.ScrewPlan(entry=[0.0, 0.0, 0.0], direction=[0.0, 0.0, 1.0],
+                              radius_mm=3.0, length_mm=40.0)
+    # 2.5 mm in from the wall, 0.2 mm in from the entry cap
+    point = np.array([[0.5, 0.0, 0.2]])
+    pose = RigidTransform.identity()
+    capped = metrics.perforation(point, plan, pose, pose)
+    lateral = metrics.perforation(point, plan, pose, pose, include_caps=False)
+    assert capped == pytest.approx(0.2, abs=1e-12)
+    assert lateral == pytest.approx(2.5, abs=1e-12)

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import StaticFrames, bake_selfconsistent_models
+from conftest import StaticFrames, bake_selfconsistent_models, random_unit_quat
 from vertereg import cloud, register, sim
-from vertereg.geom import RigidTransform, axis_angle_quat, random_unit_quat
+from vertereg.geom import RigidTransform, axis_angle_quat
 
 
 def test_run_recording_yields_first_state_before_reading_frame_two(coarse_scene,
@@ -80,7 +80,7 @@ def _prior(monkeypatch, frame, models, cfg, perturbation):
 
     monkeypatch.setattr(register, "general_alignment", capture)
     register.register_initial_frame(frame, models, sim.oracle_segmenter, cfg,
-                                    initial_perturbation=perturbation, refine=False)
+                                    initial_perturbation=perturbation)
     return seen[0]
 
 
@@ -135,11 +135,12 @@ def _initial_cloud(frame):
                                 cloud.largest_component(mask))
 
 
-@pytest.mark.parametrize("force_full", [False, True])
+# a single iteration never stops early, so the count comes after the loop
+@pytest.mark.parametrize("runs_every_iteration", [False, True])
 def test_refinement_baseline_is_the_matcher_count_at_the_refined_pose(
-        initial_frame, coarse_scene, force_full):
-    cfg = register.RegistrationConfig(piecewise_force_full_iters=force_full,
-                                      piecewise_max_iters=4 if force_full else 50)
+        initial_frame, coarse_scene, runs_every_iteration):
+    cfg = register.RegistrationConfig(
+        piecewise_max_iters=1 if runs_every_iteration else 50)
     state = register.register_initial_frame(initial_frame, coarse_scene.models,
                                             sim.oracle_segmenter, cfg)
     scene = _initial_cloud(initial_frame)
@@ -227,9 +228,9 @@ def test_coarse_points_are_the_first_registration_point_per_2mm_voxel(coarse_sce
 
 def test_initial_state_keeps_the_en_bloc_pose_it_refined_from(
         initial_frame, coarse_scene, default_cfg):
-    args = (initial_frame, coarse_scene.models, sim.oracle_segmenter, default_cfg)
-    refined = register.register_initial_frame(*args)
-    general = register.register_initial_frame(*args, refine=False)
+    refined = register.register_initial_frame(initial_frame, coarse_scene.models,
+                                              sim.oracle_segmenter, default_cfg)
+    general = register.general_state(refined)
 
     def bits(pose):
         return pose.q.tobytes(), pose.t.tobytes()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import random_unit_quat
 from vertereg import stream
-from vertereg.geom import RigidTransform, random_unit_quat
+from vertereg.geom import RigidTransform
 
 
 def test_decode_inverts_encode_for_every_slot():

@@ -107,25 +107,8 @@ def test_vectorised_triangulation_matches_the_corner_loop(coarse_scene):
     for rig in (rec.stereo_rig(), track.StereoRig(rec.scene.intrinsics,
                                                   rec.scene.intrinsics, turned)):
         for obs in frame.observations:
-            got = track.triangulate(obs, rig, max_gap_mm=np.inf)
+            got, _, _ = track._triangulate_corners(obs.left_px, obs.right_px, rig)
             assert got.tobytes() == _triangulate_reference(obs, rig).tobytes()
-
-
-def test_triangulation_errors_name_the_marker_and_corner(coarse_scene):
-    rec, frame = _tool_frame(coarse_scene)
-    rig = rec.stereo_rig()
-    obs = frame.observations[1]
-    moved = track.MarkerObservation(7, obs.left_px, obs.right_px.copy())
-    moved.right_px[2, 1] += 60.0
-    with pytest.raises(track.UnreliableTriangulationError,
-                       match=r"^corner 2 of marker 7: ray gap \d+\.\d\d mm$"):
-        track.triangulate(moved, rig)
-    # the baseline runs along x, so equal pixels give parallel rays
-    same = track.MarkerObservation(4, obs.left_px, obs.left_px.copy())
-    same.right_px[0, 0] += 5.0
-    with pytest.raises(track.UnreliableTriangulationError,
-                       match=r"^corner 1 of marker 4: viewing rays are parallel$"):
-        track.triangulate(same, rig)
 
 
 def _corrupt(observations, ids):
@@ -147,6 +130,21 @@ def test_a_marker_with_an_unreliable_corner_is_left_out(coarse_scene):
     np.testing.assert_allclose(np.abs(got.q @ want.q), 1.0, rtol=0, atol=1e-12)
 
 
+def test_a_marker_with_parallel_viewing_rays_is_left_out(coarse_scene):
+    rec, frame = _tool_frame(coarse_scene, sigma_px=0.0)
+    rig, markers = rec.stereo_rig(), sim.default_marker_reference()
+    # the baseline runs along x, so equal pixels in both views give parallel rays
+    obs = [track.MarkerObservation(o.marker_id, o.left_px,
+                                   o.left_px if o.marker_id == 0 else o.right_px)
+           for o in frame.observations]
+    _, parallel, _ = track._triangulate_corners(obs[0].left_px, obs[0].right_px, rig)
+    assert parallel.all()
+    got = track.track_pose(obs, rig, markers)
+    want = rec.tool_pose(1)
+    np.testing.assert_allclose(got.t, want.t, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(np.abs(got.q @ want.q), 1.0, rtol=0, atol=1e-12)
+
+
 def test_two_unreliable_markers_of_three_leave_too_few(coarse_scene):
     rec, frame = _tool_frame(coarse_scene)
     with pytest.raises(track.InsufficientMarkersError):
@@ -158,7 +156,8 @@ def test_one_pass_over_all_markers_matches_marker_by_marker(coarse_scene):
     rec, frame = _tool_frame(coarse_scene)
     rig, markers = rec.stereo_rig(), sim.default_marker_reference()
     obs = frame.observations
-    per_marker = np.vstack([track.triangulate(o, rig) for o in obs])
+    per_marker = np.vstack([track._triangulate_corners(o.left_px, o.right_px, rig)[0]
+                            for o in obs])
     want = track.marker_pose(per_marker, markers, [o.marker_id for o in obs])
     got = track.track_pose(obs, rig, markers)
     assert got.q.tobytes() == want.q.tobytes()
