@@ -7,13 +7,20 @@ scores estimated poses against ground truth, ``ablate`` compares the four
 pipeline variants, and ``serve`` replays poses as UDP telemetry.
 
 All commands are deterministic given their seed: re-running produces
-byte-identical output files. Errors print a machine-readable JSON object
-to stderr and exit nonzero.
+byte-identical output files. ``register`` writes each frame's rows to
+``poses.csv`` and ``state_log.csv`` (and sends its datagram) as soon as
+the frame is registered, so a run that fails part-way leaves the rows of
+every frame before the failure on disk.
+
+Errors print a machine-readable JSON object to stderr. The exit code is 0
+on success, 2 for a ``format`` error (malformed input; the object names
+the file) and 1 for any other error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -192,13 +199,12 @@ def cmd_simulate(args) -> int:
 # register
 # ---------------------------------------------------------------------------
 
-def _state_slots(state) -> list[stream.PoseSlot]:
-    slots = [stream.PoseSlot(True, state.vertebrae[vid].updated,
-                             state.vertebrae[vid].pose)
-             if vid in state.vertebrae else stream.PoseSlot.empty()
-             for vid in range(1, 6)]
-    slots.append(stream.PoseSlot.empty())  # drill slot is fed by `track`
-    return slots
+def _packet(frame: int, fps: float, rows_by_slot: dict[int, PoseRow]) -> bytes:
+    """Telemetry datagram of one frame; a slot without a row is empty."""
+    slots = [stream.PoseSlot(row.valid, row.updated, row.pose)
+             if (row := rows_by_slot.get(k)) else stream.PoseSlot.empty()
+             for k in range(1, stream.SLOT_COUNT + 1)]
+    return stream.encode_packet(frame, round((frame - 1) / fps * 1e6), slots)
 
 
 def cmd_register(args) -> int:
@@ -217,34 +223,29 @@ def cmd_register(args) -> int:
                                         math.radians(deg), mm)
 
     dest_text = args.stream or file_values.get("stream") or os.environ.get(STREAM_ENV)
-    streamer = None
-    if dest_text:
-        host, port = _parse_dest(dest_text)
-        streamer = stream.PoseStreamer(host, port)
+    streamer = stream.PoseStreamer(*_parse_dest(dest_text)) if dest_text else None
 
     t_start = time.monotonic()
-    states = []
-    for state in run_recording(rec, rec.models, sim.oracle_segmenter, cfg, mode=mode,
-                               initial_perturbation=perturbation):
-        if streamer is not None:
-            ts_us = round((state.frame_index - 1) / rec.fps * 1e6)
-            streamer.send(stream.encode_packet(state.frame_index, ts_us,
-                                               _state_slots(state)))
-        states.append(state)
+    frames = 0
+    with (streamer or contextlib.nullcontext(),
+          open(out / "poses.csv", "w") as poses_out,
+          open(out / "state_log.csv", "w") as log_out):
+        poses_out.write(formats.POSES_HEADER + "\n")
+        log_out.write("frame,vertebra,inliers,baseline,updated,frozen\n")
+        for state in run_recording(rec, rec.models, sim.oracle_segmenter, cfg,
+                                   mode=mode, initial_perturbation=perturbation):
+            f, tracks = state.frame_index, sorted(state.vertebrae.items())
+            rows = {vid: PoseRow(f, vid, True, tr.updated, tr.pose)
+                    for vid, tr in tracks}
+            if streamer is not None:
+                streamer.send(_packet(f, rec.fps, rows))
+            poses_out.writelines(map(formats.pose_line, rows.values()))
+            log_out.writelines(f"{f},{vid},{tr.inliers},{tr.baseline_inliers},"
+                               f"{int(tr.updated)},{int(tr.frozen)}\n"
+                               for vid, tr in tracks)
+            frames += 1
     elapsed = time.monotonic() - t_start
-
-    rows = []
-    log_lines = ["frame,vertebra,inliers,baseline,updated,frozen"]
-    for state in states:
-        for vid, tr in sorted(state.vertebrae.items()):
-            rows.append(PoseRow(state.frame_index, vid, True, tr.updated, tr.pose))
-            log_lines.append(f"{state.frame_index},{vid},{tr.inliers},"
-                             f"{tr.baseline_inliers},{int(tr.updated)},{int(tr.frozen)}")
-    formats.write_poses(out / "poses.csv", rows)
-    (out / "state_log.csv").write_text("\n".join(log_lines) + "\n")
-    if streamer is not None:
-        streamer.close()
-    print(f"registered {len(states)} frames in {elapsed:.2f}s "
+    print(f"registered {frames} frames in {elapsed:.2f}s "
           f"({mode} mode) -> {out / 'poses.csv'}")
     return 0
 
@@ -372,9 +373,7 @@ def cmd_evaluate(args) -> int:
         "max_perforation_mm": max((d for d in tail_perfs if d is not None),
                                   default=None),
     }
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=1)
-        f.write("\n")
+    formats.write_json(out / "summary.json", summary)
     print(f"success rate {success:.3f}, target TRE "
           f"{summary['tre_mm']['target']:.3f} mm -> {out / 'summary.json'}")
     return 0
@@ -432,16 +431,10 @@ def cmd_serve(args) -> int:
         frames = frames[:args.count]
     packets = []
     for f in frames:
-        slots = []
-        for vid in range(1, 6):
-            row = by_frame[f].get(vid)
-            slots.append(stream.PoseSlot(row.valid, row.updated, row.pose)
-                         if row else stream.PoseSlot.empty())
-        drow = drill.get(f, {}).get(formats.DRILL_SLOT) or by_frame[f].get(formats.DRILL_SLOT)
-        slots.append(stream.PoseSlot(drow.valid, drow.updated, drow.pose)
-                     if drow else stream.PoseSlot.empty())
-        ts_us = round((f - 1) / fps * 1e6)
-        packets.append(stream.encode_packet(f, ts_us, slots))
+        rows = dict(by_frame[f])
+        if formats.DRILL_SLOT in drill.get(f, {}):
+            rows[formats.DRILL_SLOT] = drill[f][formats.DRILL_SLOT]
+        packets.append(_packet(f, fps, rows))
 
     dest_text = args.dest or os.environ.get(STREAM_ENV) or DEFAULT_STREAM
     host, port = _parse_dest(dest_text)

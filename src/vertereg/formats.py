@@ -72,6 +72,36 @@ def _f(x) -> str:
     return repr(float(x))
 
 
+def write_json(path, doc) -> None:
+    """``doc`` as sorted, one-space-indented JSON and a final newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=1)
+        f.write("\n")
+
+
+def _read_json(path, build):
+    """``build(doc)`` of the JSON document in ``path``.
+
+    Bytes that are not UTF-8, bad or too deeply nested JSON, a key
+    ``build`` misses and a value it cannot convert raise FormatError naming
+    ``path``.
+    """
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not UTF-8: {e.reason}", path, offset=e.start)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"bad JSON: {e.msg}", path, offset=e.pos)
+    except RecursionError:
+        raise FormatError("JSON nested too deeply", path)
+    try:
+        return build(doc)
+    except KeyError as e:
+        raise FormatError(f"lacks key {e.args[0]!r}", path)
+    except (AttributeError, OverflowError, TypeError, ValueError) as e:
+        raise FormatError(f"bad value: {e}", path)
+
+
 # ---------------------------------------------------------------------------
 # depth maps
 # ---------------------------------------------------------------------------
@@ -199,9 +229,7 @@ def save_model(model: VertebraModel, ply_path, sidecar_path) -> None:
             for p in model.screw_plans
         ],
     }
-    with open(sidecar_path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(sidecar_path, doc)
 
 
 def _indices(value) -> np.ndarray:
@@ -216,11 +244,8 @@ def load_model(ply_path, sidecar_path) -> VertebraModel:
     """Load a model and its sidecar. A missing or malformed sidecar key, or
     an index outside the model's points, raises FormatError."""
     points, normals = read_ply(ply_path)
-    try:
-        doc = json.loads(Path(sidecar_path).read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad sidecar JSON: {e.msg}", sidecar_path, offset=e.pos)
-    try:
+
+    def build(doc) -> VertebraModel:
         plans = tuple(ScrewPlan(np.array(p["entry"]), np.array(p["direction"]),
                                 float(p["radius_mm"]), float(p["length_mm"]))
                       for p in doc["screw_plans"])
@@ -233,10 +258,8 @@ def load_model(ply_path, sidecar_path) -> VertebraModel:
             pedicle_indices=_indices(doc["pedicle_indices"]),
             screw_plans=plans,
         )
-    except KeyError as e:
-        raise FormatError(f"sidecar lacks key {e.args[0]!r}", sidecar_path)
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"bad value in sidecar: {e}", sidecar_path)
+
+    return _read_json(sidecar_path, build)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +275,18 @@ class PoseRow:
     pose: RigidTransform
 
 
+def pose_line(r: PoseRow) -> str:
+    """One row of a pose table, newline included."""
+    q, t = r.pose.q, r.pose.t
+    return (f"{r.frame},{r.slot},{int(r.valid)},{int(r.updated)},"
+            f"{_f(q[0])},{_f(q[1])},{_f(q[2])},{_f(q[3])},"
+            f"{_f(t[0])},{_f(t[1])},{_f(t[2])}\n")
+
+
 def write_poses(path, rows: list[PoseRow]) -> None:
     with open(path, "w") as f:
         f.write(POSES_HEADER + "\n")
-        for r in rows:
-            q, t = r.pose.q, r.pose.t
-            f.write(f"{r.frame},{r.slot},{int(r.valid)},{int(r.updated)},"
-                    f"{_f(q[0])},{_f(q[1])},{_f(q[2])},{_f(q[3])},"
-                    f"{_f(t[0])},{_f(t[1])},{_f(t[2])}\n")
+        f.writelines(map(pose_line, rows))
 
 
 def _read_rows(path, header: str, n_fields: int, parse) -> list:
@@ -356,27 +383,20 @@ def write_stereo(path, rig: StereoRig, markers: dict[int, np.ndarray]) -> None:
         "baseline": {"q": rig.baseline.q.tolist(), "t": rig.baseline.t.tolist()},
         "markers": {str(k): np.asarray(v).tolist() for k, v in markers.items()},
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(path, doc)
+
+
+def _stereo_from(doc: dict) -> tuple[StereoRig, dict[int, np.ndarray]]:
+    rig = StereoRig(_intrinsics_from(doc["left"]), _intrinsics_from(doc["right"]),
+                    RigidTransform(np.array(doc["baseline"]["q"]),
+                                   np.array(doc["baseline"]["t"])))
+    markers = {int(k): np.array(v, dtype=float).reshape(4, 3)
+               for k, v in doc["markers"].items()}
+    return rig, markers
 
 
 def read_stereo(path) -> tuple[StereoRig, dict[int, np.ndarray]]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad stereo JSON: {e.msg}", path, offset=e.pos)
-    try:
-        rig = StereoRig(_intrinsics_from(doc["left"]), _intrinsics_from(doc["right"]),
-                        RigidTransform(np.array(doc["baseline"]["q"]),
-                                       np.array(doc["baseline"]["t"])))
-        markers = {int(k): np.array(v, dtype=float).reshape(4, 3)
-                   for k, v in doc["markers"].items()}
-    except KeyError as e:
-        raise FormatError(f"stereo.json lacks key {e.args[0]!r}", path)
-    except (AttributeError, TypeError, ValueError) as e:
-        raise FormatError(f"bad value in stereo.json: {e}", path)
-    return rig, markers
+    return _read_json(path, _stereo_from)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +461,7 @@ def write_recording(rec: sim.Recording, out_dir,
         "target_screw": target_screw,
         "has_tool": rec.spec.tool is not None,
     }
-    with open(root / "recording.json", "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(root / "recording.json", meta)
 
     for m in rec.scene.models:
         save_model(m, root / "models" / f"vert{m.id}.ply",
@@ -476,36 +494,32 @@ def read_orientations(path) -> dict[int, np.ndarray]:
         int(parts[0]), np.array([float(v) for v in parts[1:]]))))
 
 
+def _meta_from(doc: dict) -> dict:
+    return {
+        "fps": float(doc["fps"]),
+        "frame_count": int(doc["frames"]),
+        "seed": int(doc["seed"]),
+        "tilt_deg": float(doc.get("tilt_deg", 0.0)),
+        "target_vertebra": int(doc.get("target_vertebra", 3)),
+        "target_screw": int(doc.get("target_screw", 0)),
+        "intrinsics": _intrinsics_from(doc["intrinsics"]),
+        "has_tool": bool(doc.get("has_tool", False)),
+    }
+
+
 def read_recording_meta(root) -> dict:
     """Typed contents of a recording directory's ``recording.json``.
 
     Returns fps, frame_count, seed, tilt_deg, target_vertebra,
-    target_screw, intrinsics and has_tool. A missing file, bad JSON, a
-    missing or malformed key, fewer than one frame or an fps that is not
-    positive and finite raises FormatError.
+    target_screw, intrinsics and has_tool. A missing file, bytes that are
+    not UTF-8 JSON, a missing or malformed key, fewer than one frame or an
+    fps that is not positive and finite raises FormatError.
     """
     path = Path(root) / "recording.json"
     try:
-        doc = json.loads(path.read_text())
+        meta = _read_json(path, _meta_from)
     except FileNotFoundError:
         raise FormatError("recording.json missing", path)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad recording JSON: {e.msg}", path, offset=e.pos)
-    try:
-        meta = {
-            "fps": float(doc["fps"]),
-            "frame_count": int(doc["frames"]),
-            "seed": int(doc["seed"]),
-            "tilt_deg": float(doc.get("tilt_deg", 0.0)),
-            "target_vertebra": int(doc.get("target_vertebra", 3)),
-            "target_screw": int(doc.get("target_screw", 0)),
-            "intrinsics": _intrinsics_from(doc["intrinsics"]),
-            "has_tool": bool(doc.get("has_tool", False)),
-        }
-    except KeyError as e:
-        raise FormatError(f"recording.json lacks key {e.args[0]!r}", path)
-    except (OverflowError, TypeError, ValueError) as e:
-        raise FormatError(f"bad value in recording.json: {e}", path)
     if meta["frame_count"] < 1:
         raise FormatError(f"recording.json has {meta['frame_count']} frames, "
                           "need at least 1", path)
@@ -528,7 +542,8 @@ class LoadedRecording:
 
     Loading checks that the ground truth and the orientation priors cover
     every frame and that the target screw is one of the target vertebra's
-    plans; a gap raises FormatError naming the file.
+    plans, and ``frame`` checks that the mask is the size of the depth map;
+    a gap or a mismatch raises FormatError naming the file.
     """
 
     def __init__(self, root):
@@ -584,6 +599,9 @@ class LoadedRecording:
         stem = self.root / "frames" / f"f{f:06d}"
         depth = read_depth(stem.with_suffix(".dpth"))
         mask = read_mask(stem.with_suffix(".msk"))
+        if mask.shape != depth.shape:
+            raise FormatError(f"mask shape {mask.shape} differs from depth shape "
+                              f"{depth.shape}", stem.with_suffix(".msk"))
         gt = {vid: row.pose for vid, row in sorted(self._gt[f].items())}
         return sim.Frame(index=f, timestamp=(f - 1) / self.fps, depth=depth,
                          intrinsics=self.intrinsics, oracle_mask=mask,

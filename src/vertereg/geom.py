@@ -142,17 +142,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=float)
-        return RigidTransform(matrix_to_quat(m[:3, :3]), m[:3, 3].copy())
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = quat_to_matrix(self.q)
-        m[:3, 3] = self.t
-        return m
-
     def normalized(self) -> "RigidTransform":
         return RigidTransform(quat_normalize(self.q), np.asarray(self.t, dtype=float))
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cloud import (EmptyCloudError, NearestNeighborIndex, centroid,
-                    depth_to_cloud, largest_component, voxel_subsample)
+from .cloud import (NearestNeighborIndex, centroid, depth_to_cloud,
+                    largest_component, voxel_subsample)
 from .geom import (RigidTransform, pose_difference, quat_mul, quat_normalize,
                    umeyama)
 
@@ -180,18 +180,6 @@ def general_state(state: RegistrationState) -> RegistrationState:
                              state.frame_index, state.en_bloc)
 
 
-def initial_pose(pc_s: np.ndarray, q_p: np.ndarray) -> RigidTransform:
-    """Pose prior: predicted orientation + centroid of the segmented cloud.
-
-    The model frame's origin is the centroid of all registration points, so
-    this maps the combined models roughly onto the visible anatomy.
-    """
-    pc_s = np.asarray(pc_s, dtype=float).reshape(-1, 3)
-    if pc_s.shape[0] == 0:
-        raise EmptyCloudError("initial pose needs a nonempty segmented cloud")
-    return RigidTransform(quat_normalize(q_p), centroid(pc_s))
-
-
 def _gated_pairs(index: NearestNeighborIndex, pose: RigidTransform,
                  scene: np.ndarray, gate: float, strict: bool
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,7 +297,10 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
     if pc_s.shape[0] == 0:
         raise EmptyMaskError("no valid depth under the segmentation mask")
 
-    t_init = initial_pose(pc_s, q_p)
+    # pose prior: the predicted orientation at the centroid of the segmented
+    # cloud; the model frame's origin is the centroid of all registration
+    # points, so this maps the combined models roughly onto the anatomy
+    t_init = RigidTransform(quat_normalize(q_p), centroid(pc_s))
     if initial_perturbation is not None:
         t_init = RigidTransform(
             quat_normalize(quat_mul(initial_perturbation.q, t_init.q)),

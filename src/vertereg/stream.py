@@ -87,6 +87,12 @@ class PoseStreamer:
     def close(self) -> None:
         self.sock.close()
 
+    def __enter__(self) -> "PoseStreamer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 def _sleep_until(deadline: float) -> None:
     # coarse sleep, then spin the last few milliseconds: nanosleep overshoot
@@ -108,18 +114,15 @@ def serve_packets(packets: list[bytes], fps: float, host: str, port: int
     """
     if fps <= 0:
         raise ValueError("fps must be positive")
-    streamer = PoseStreamer(host, port)
     period = 1.0 / fps
-    start = time.monotonic()
     stamps = []
-    try:
+    with PoseStreamer(host, port) as streamer:
+        start = time.monotonic()
         for k, packet in enumerate(packets):
             _sleep_until(start + k * period)
             # stamp at the emission decision; sendto duration is not pacing
             stamps.append(time.monotonic())
             streamer.send(packet)
-    finally:
-        streamer.close()
     return stamps
 
 

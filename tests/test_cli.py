@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 import socket
@@ -56,6 +57,53 @@ def test_register_stream_sends_one_datagram_per_frame_in_order(recording_dir, tm
             sent, written = slots[vid - 1].pose, poses[frame][vid].pose
             assert sent.q.tolist() == written.q.tolist()
             assert sent.t.tolist() == written.t.tolist()
+
+
+def test_register_keeps_the_rows_of_the_frames_before_a_truncated_frame(
+        recording_dir, tmp_path, capsys):
+    full = tmp_path / "full"
+    assert cli.main(["register", "--recording", str(recording_dir),
+                     "--out", str(full)]) == 0
+    rec = tmp_path / "rec"
+    shutil.copytree(recording_dir, rec)
+    depth = rec / "frames" / "f000005.dpth"
+    depth.write_bytes(depth.read_bytes()[:depth.stat().st_size // 2])
+    out = tmp_path / "out"
+    rc = cli.main(["register", "--recording", str(rec), "--out", str(out),
+                   "--stream", "127.0.0.1:9"])
+    assert rc == 2
+    # the stream may warn first that nothing listens on the port
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["file"] == str(depth)
+    for name in ("poses.csv", "state_log.csv"):
+        lines = (full / name).read_text().splitlines(keepends=True)
+        assert (out / name).read_text() == "".join(
+            line for line in lines if not line.startswith("5,"))
+
+
+def test_serve_sends_the_pose_and_drill_rows_of_each_frame(tool_recording, tmp_path):
+    root, _ = tool_recording
+    for cmd in ("register", "track"):
+        assert cli.main([cmd, "--recording", str(root), "--out", str(tmp_path)]) == 0
+    poses = formats.poses_by_frame(formats.read_poses(tmp_path / "poses.csv"))
+    drill = formats.poses_by_frame(formats.read_poses(tmp_path / "drill_poses.csv"))
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(2.0)
+    host, port = sock.getsockname()
+    with sock:
+        assert cli.main(["serve", "--recording", str(root),
+                         "--poses", str(tmp_path / "poses.csv"),
+                         "--drill-poses", str(tmp_path / "drill_poses.csv"),
+                         "--fps", "1000", "--dest", f"{host}:{port}"]) == 0
+        packets = [sock.recv(65536) for _ in range(8)]
+    for k, packet in enumerate(packets, start=1):
+        frame, ts_us, slots = stream.decode_packet(packet)
+        assert (frame, ts_us) == (k, round((k - 1) / 1000.0 * 1e6))
+        rows = [poses[k][vid] for vid in range(1, 6)] + [drill[k][formats.DRILL_SLOT]]
+        for slot, row in zip(slots, rows, strict=True):
+            assert (slot.valid, slot.updated) == (row.valid, row.updated)
+            assert slot.pose.q.tolist() == row.pose.q.tolist()
+            assert slot.pose.t.tolist() == row.pose.t.tolist()
 
 
 def _format_error(capsys) -> dict:
@@ -116,6 +164,8 @@ SIDECAR_ERRORS = {
     "zero screw direction": _with("screw_plans", lambda n: [
         {"entry": [0, 0, 0], "direction": [0, 0, 0], "radius_mm": 2.5, "length_mm": 40}]),
     "id of another vertebra": _with("id", lambda n: 3),
+    # json writes the float as Infinity; 1e999 reads back as the same value
+    "id 1e999": _with("id", lambda n: math.inf),
     "a list, not an object": lambda doc, n: [doc],
 }
 
@@ -207,10 +257,11 @@ def test_track_holds_the_last_pose_when_too_few_markers_are_reliable(
     assert poses[5][formats.DRILL_SLOT].updated
 
 
-def _set_meta(key, text):
-    """Set one value of recording.json to the literal JSON ``text``."""
+def _set_json(key, text, name="recording.json"):
+    """Set each value of ``key`` in the JSON file ``name`` to the literal
+    JSON ``text``."""
     def apply(rec):
-        path = rec / "recording.json"
+        path = rec / name
         path.write_text(re.sub(rf'"{key}": [^,\n]+', f'"{key}": {text}',
                                path.read_text()))
     return apply
@@ -224,6 +275,12 @@ def _drop_rows(name, *leading):
         path.write_text("\n".join(line for line in lines
                                   if line.split(",")[:len(leading)] != list(leading))
                         + "\n")
+    return apply
+
+
+def _write_mask(frame, shape):
+    def apply(rec):
+        formats.write_mask(rec / "frames" / f"f{frame:06d}.msk", np.ones(shape, bool))
     return apply
 
 
@@ -242,9 +299,9 @@ RECORDING_ERRORS = {
                                "stereo.json"),
     "marker with two corners": (_edit_stereo(lambda doc: doc["markers"].update(
         {"0": [[1.0, 2.0], [3.0, 4.0]]})), "track", "stereo.json"),
-    "target screw past the plans": (_set_meta("target_screw", "5"), "evaluate",
+    "target screw past the plans": (_set_json("target_screw", "5"), "evaluate",
                                     "recording.json"),
-    "target vertebra 6": (_set_meta("target_vertebra", "6"), "register",
+    "target vertebra 6": (_set_json("target_vertebra", "6"), "register",
                           "recording.json"),
     "orientation row missing": (_drop_rows("oracle_orientation.csv", "5"),
                                 "register", "oracle_orientation.csv"),
@@ -252,12 +309,18 @@ RECORDING_ERRORS = {
                                    "gt_poses.csv"),
     "ground-truth vertebra missing": (_drop_rows("gt_poses.csv", "3", "2"),
                                       "ablate", "gt_poses.csv"),
-    "frame count overflows": (_set_meta("frames", "1e400"), "register",
+    "frame count overflows": (_set_json("frames", "1e400"), "register",
                               "recording.json"),
-    "zero frames": (_set_meta("frames", "0"), "register", "recording.json"),
-    "more frames than recorded": (_set_meta("frames", "12"), "register",
+    "zero frames": (_set_json("frames", "0"), "register", "recording.json"),
+    "more frames than recorded": (_set_json("frames", "12"), "register",
                                   "oracle_orientation.csv"),
-    "zero fps": (_set_meta("fps", "0"), "track", "recording.json"),
+    "zero fps": (_set_json("fps", "0"), "track", "recording.json"),
+    "stereo width 1e999": (_set_json("width", "1e999", "stereo.json"), "track",
+                           "stereo.json"),
+    "stereo nested too deeply": (lambda rec: (rec / "stereo.json").write_text(
+        "[" * 100000), "track", "stereo.json"),
+    "mask smaller than its depth frame": (_write_mask(3, (10, 10)), "register",
+                                          "frames/f000003.msk"),
 }
 
 

@@ -4,7 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vertereg import cli, formats, track
+from vertereg import cli, formats, register, sim, track
+from vertereg.cloud import CameraIntrinsics
 from vertereg.geom import RigidTransform
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -125,6 +126,28 @@ def _written(write):
 
 
 _POSE = RigidTransform(np.array([0.5, 0.5, -0.5, 0.5]), np.array([1.25, -2.0, 300.0]))
+_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=200.0, cy=150.0, width=400,
+                               height=300)
+_MODEL = register.VertebraModel(
+    id=2, points=np.arange(18.0).reshape(6, 3), normals=np.zeros((6, 3)),
+    reg_indices=np.array([0, 2, 3, 5]), landmarks=np.eye(3) * 10.0,
+    pedicle_indices=np.array([1, 4]),
+    screw_plans=(register.ScrewPlan(np.array([0.0, 1.0, 2.0]),
+                                    np.array([0.0, 0.0, 1.0]), 2.5, 40.0),))
+
+
+def _read_meta(path):
+    """read_recording_meta of ``path`` as a recording's ``recording.json``."""
+    root = path.parent / "recording"
+    root.mkdir(exist_ok=True)
+    (root / "recording.json").write_bytes(path.read_bytes())
+    return formats.read_recording_meta(root)
+
+
+def _read_sidecar(path):
+    """load_model of the sidecar ``path`` next to the model ``_written`` saved."""
+    return formats.load_model(path.parent / "sample.ply", path)
+
 
 # reader -> (parse a file, make a valid file of its format)
 READERS = {
@@ -144,6 +167,16 @@ READERS = {
     "config": (lambda p: formats.parse_config(p, cli._REG_KEYS), _written(
         lambda p: p.write_text("# tuned\ngeneral_max_iters = 40\n"
                                "update_gate = 0.85\nmode = Full\n"))),
+    "recording.json": (_read_meta, _written(lambda p: formats.write_json(p, {
+        "fps": 30.0, "frames": 2, "seed": 0, "tilt_deg": 0.0, "target_vertebra": 3,
+        "target_screw": 0, "intrinsics": formats._intrinsics_doc(_INTRINSICS),
+        "has_tool": True}))),
+    "stereo.json": (formats.read_stereo, _written(lambda p: formats.write_stereo(
+        p, track.StereoRig(_INTRINSICS, _INTRINSICS, RigidTransform(
+            np.array([1.0, 0.0, 0.0, 0.0]), np.array([60.0, 0.0, 0.0]))),
+        sim.default_marker_reference()))),
+    "sidecar": (_read_sidecar, _written(lambda p: formats.save_model(
+        _MODEL, p.with_suffix(".ply"), p))),
 }
 
 
