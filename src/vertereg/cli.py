@@ -297,7 +297,7 @@ def cmd_evaluate(args) -> int:
 
     by_id = {m.id: m for m in rec.models}
     frames = sorted(est)
-    start = metrics.TRE_START_FRAME if len(frames) >= metrics.TRE_START_FRAME else 1
+    start = metrics.tre_start_frame(len(frames))
 
     frame_lines = ["frame,vertebra,valid,updated,tre_mm"]
     screw_lines = ["frame,vertebra,screw,traj_err_deg,entry_err_mm,perforation_mm,safe"]
@@ -386,8 +386,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _config(RegistrationConfig, args, _config_values(args.config, _REG_KEYS))
     rec = formats.LoadedRecording(args.recording)
-    start = (metrics.TRE_START_FRAME
-             if rec.frame_count >= metrics.TRE_START_FRAME else 1)
+    start = metrics.tre_start_frame(rec.frame_count)
 
     series = metrics.run_ablation(rec, rec.models, sim.oracle_segmenter, cfg,
                                   rec.gt_pose)
@@ -420,7 +419,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_serve(args) -> int:
     meta = formats.read_recording_meta(args.recording)
-    fps = args.fps or meta["fps"]
+    fps = meta["fps"] if args.fps is None else args.fps
+    if not 0.0 < fps < math.inf:
+        raise ValueError(f"fps {fps!r} is not positive and finite")
     by_frame = formats.poses_by_frame(formats.read_poses(args.poses))
     drill = {}
     if args.drill_poses:

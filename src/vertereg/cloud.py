@@ -2,7 +2,9 @@
 
 Depth maps are (H, W) float arrays in mm with 0 marking an invalid pixel;
 binary masks are (H, W) bool arrays; point clouds are (N, 3) float arrays
-in the sensor frame (mm).
+in the sensor frame (mm). ``CameraIntrinsics`` owns the pinhole model:
+every projection of a point to a pixel and every ray through a pixel goes
+through it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,20 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
+
+    def project(self, x, y, z):
+        """Pixel coordinates (u, v) of camera-frame coordinates (x, y, z).
+
+        Takes scalars or 1-D arrays; z must be positive.
+        """
+        return self.fx * x / z + self.cx, self.fy * y / z + self.cy
+
+    def rays(self, px: np.ndarray) -> np.ndarray:
+        """Unit ray directions through (M, 2) pixels, camera frame."""
+        d = np.ones((px.shape[0], 3))
+        d[:, 0] = (px[:, 0] - self.cx) / self.fx
+        d[:, 1] = (px[:, 1] - self.cy) / self.fy
+        return d / np.sqrt(np.vecdot(d, d))[:, None]
 
 
 def depth_to_cloud(depth: np.ndarray, intr: CameraIntrinsics,
@@ -128,7 +144,7 @@ class NearestNeighborIndex:
 
     def query(self, queries: np.ndarray, max_dist: float
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest reference point per query, pairs beyond max_dist dropped.
+        """Nearest reference point per query, kept only strictly within max_dist.
 
         Returns (query_indices, reference_indices, distances).
         """
@@ -146,18 +162,24 @@ class NearestNeighborIndex:
                               & (z >= z0) & (z <= z1))
         dist, idx = self._tree.query(queries[near], k=1,
                                      distance_upper_bound=max_dist, workers=1)
-        found = np.isfinite(dist)
+        # scipy keeps d**2 < max_dist**2, but sqrt(d**2) can round up to
+        # max_dist; a missing neighbour is inf and fails the test too
+        found = dist < max_dist
         return near[found], idx[found], dist[found]
 
 
+# cell edge and depth tolerance of select_posterior_visible's z-buffer, mm
+VISIBLE_GRID_MM = 0.5
+VISIBLE_DEPTH_TOL_MM = 0.5
+
+
 def select_posterior_visible(points: np.ndarray, normals: np.ndarray,
-                             view_dir: np.ndarray, grid_mm: float = 0.5,
-                             depth_tol_mm: float = 0.5) -> np.ndarray:
+                             view_dir: np.ndarray) -> np.ndarray:
     """Indices of points visible from an orthographic view along view_dir.
 
     A point survives when its normal faces the viewer (normal·view_dir < 0)
-    and it passes an orthographic z-buffer test: within depth_tol_mm of the
-    nearest depth in its grid_mm x grid_mm cell.
+    and it passes an orthographic z-buffer test: within VISIBLE_DEPTH_TOL_MM
+    of the nearest depth in its VISIBLE_GRID_MM x VISIBLE_GRID_MM cell.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     normals = np.asarray(normals, dtype=float).reshape(-1, 3)
@@ -180,8 +202,8 @@ def select_posterior_visible(points: np.ndarray, normals: np.ndarray,
     su = p @ u
     sv = p @ v
     d = p @ w
-    iu = np.floor(su / grid_mm).astype(np.int64)
-    iv = np.floor(sv / grid_mm).astype(np.int64)
+    iu = np.floor(su / VISIBLE_GRID_MM).astype(np.int64)
+    iv = np.floor(sv / VISIBLE_GRID_MM).astype(np.int64)
     iu -= iu.min()
     iv -= iv.min()
     cell = iu * (iv.max() + 1) + iv
@@ -192,7 +214,7 @@ def select_posterior_visible(points: np.ndarray, normals: np.ndarray,
     starts = np.flatnonzero(np.r_[True, cell_sorted[1:] != cell_sorted[:-1]])
     min_d = np.minimum.reduceat(d_sorted, starts)
     group = np.cumsum(np.r_[0, (cell_sorted[1:] != cell_sorted[:-1]).astype(int)])
-    keep_sorted = d_sorted <= min_d[group] + depth_tol_mm
+    keep_sorted = d_sorted <= min_d[group] + VISIBLE_DEPTH_TOL_MM
 
     keep = np.zeros(cand.size, dtype=bool)
     keep[order] = keep_sorted

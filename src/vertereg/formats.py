@@ -542,8 +542,9 @@ class LoadedRecording:
 
     Loading checks that the ground truth and the orientation priors cover
     every frame and that the target screw is one of the target vertebra's
-    plans, and ``frame`` checks that the mask is the size of the depth map;
-    a gap or a mismatch raises FormatError naming the file.
+    plans, and ``frame`` checks that the depth map is the size the
+    intrinsics give and the mask the size of the depth map; a gap or a
+    mismatch raises FormatError naming the file.
     """
 
     def __init__(self, root):
@@ -598,6 +599,10 @@ class LoadedRecording:
             raise IndexError(f"frame {f} outside 1..{self.frame_count}")
         stem = self.root / "frames" / f"f{f:06d}"
         depth = read_depth(stem.with_suffix(".dpth"))
+        size = (self.intrinsics.height, self.intrinsics.width)
+        if depth.shape != size:
+            raise FormatError(f"depth shape {depth.shape} differs from the "
+                              f"intrinsics' {size}", stem.with_suffix(".dpth"))
         mask = read_mask(stem.with_suffix(".msk"))
         if mask.shape != depth.shape:
             raise FormatError(f"mask shape {mask.shape} differs from depth shape "

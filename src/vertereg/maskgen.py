@@ -26,9 +26,10 @@ def render_depth(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
         return depth
     z = points[:, 2]
     front = z > 0
-    x, y, z = points[front, 0], points[front, 1], z[front]
-    u = np.rint(intr.fx * x / z + intr.cx).astype(np.int64)
-    v = np.rint(intr.fy * y / z + intr.cy).astype(np.int64)
+    z = z[front]
+    u, v = intr.project(points[front, 0], points[front, 1], z)
+    u = np.rint(u).astype(np.int64)
+    v = np.rint(v).astype(np.int64)
     inside = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
     u, v, z = u[inside], v[inside], z[inside]
 

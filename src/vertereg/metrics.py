@@ -28,7 +28,13 @@ def tre(gt_pose: RigidTransform, est_pose: RigidTransform,
     return float(d.mean())
 
 
-def recording_tre(per_frame: list[float], start_frame: int = TRE_START_FRAME) -> float:
+def tre_start_frame(frames: int) -> int:
+    """First frame a recording of ``frames`` frames is judged from:
+    ``TRE_START_FRAME``, or frame 1 when the recording is shorter."""
+    return TRE_START_FRAME if frames >= TRE_START_FRAME else 1
+
+
+def recording_tre(per_frame: list[float], start_frame: int) -> float:
     """Mean of a per-frame error series from ``start_frame`` on (1-based)."""
     if len(per_frame) < start_frame:
         raise ValueError(f"recording has {len(per_frame)} frames, "
@@ -84,8 +90,8 @@ def perforation(pedicle_points: np.ndarray, screw: ScrewPlan,
     return float(depth.max())
 
 
-def is_safe(depth: float | None, threshold: float = SAFE_PERFORATION_MM) -> bool:
-    return depth is None or depth < threshold
+def is_safe(depth: float | None) -> bool:
+    return depth is None or depth < SAFE_PERFORATION_MM
 
 
 def success_rate(per_frame_perforation: list[float | None]) -> float:

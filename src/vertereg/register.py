@@ -17,12 +17,14 @@ occlusion instead of dragging them toward the occluder.
 Every stage matches scene points into the model: the segmented cloud is
 mapped into the model frame by the inverse pose and each of its points
 takes its nearest registration point from a KD-tree built once, over the
-models, not per frame. An inlier count is therefore the number of scene
-points within the gate of the posed model, and the update gate compares two
-counts of that one kind. The en-bloc stage only has to land inside the
-per-vertebra capture range, so it matches into the coarse subset; the
-refinement, its baseline and every interaction-frame update match into the
-full registration subset, which sets the final accuracy.
+models, not per frame. Every stage counts only the pairs strictly within
+its gate (``NearestNeighborIndex.query``), so an inlier count is the number
+of scene points strictly within the gate of the posed model, and the
+update gate compares two counts of that one kind. The en-bloc stage only
+has to land inside the per-vertebra capture range, so it matches into the
+coarse subset; the refinement, its baseline and every interaction-frame
+update match into the full registration subset, which sets the final
+accuracy.
 """
 
 from __future__ import annotations
@@ -149,6 +151,8 @@ class RegistrationConfig:
     def __post_init__(self):
         if min(self.general_max_corr, self.piecewise_inlier) <= 0:
             raise ValueError("correspondence distances must be positive")
+        if min(self.general_max_iters, self.piecewise_max_iters) < 0:
+            raise ValueError("iteration caps must be nonnegative")
         if not 0.0 < self.update_gate <= 1.0:
             raise ValueError("update gate must be in (0, 1]")
 
@@ -181,19 +185,15 @@ def general_state(state: RegistrationState) -> RegistrationState:
 
 
 def _gated_pairs(index: NearestNeighborIndex, pose: RigidTransform,
-                 scene: np.ndarray, gate: float, strict: bool
+                 scene: np.ndarray, gate: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scene points within ``gate`` of the model posed by ``pose``.
+    """Scene points strictly within ``gate`` of the model posed by ``pose``.
 
     The scene is mapped into the model frame by the inverse pose and each
     of its points takes its nearest point of ``index``. Returns (model
     indices, scene indices, distances).
     """
     sidx, midx, dist = index.query(pose.inverse().apply(scene), gate)
-    if strict:
-        # scipy keeps d**2 < gate**2, but sqrt(d**2) can round up to the gate
-        keep = dist < gate
-        return midx[keep], sidx[keep], dist[keep]
     return midx, sidx, dist
 
 
@@ -212,8 +212,7 @@ def general_alignment(index: NearestNeighborIndex, t_init: RigidTransform,
     pose = t_init.normalized()
     identity = RigidTransform.identity()
     for it in range(cfg.general_max_iters):
-        midx, sidx, _ = _gated_pairs(index, pose, scene, cfg.general_max_corr,
-                                     strict=False)
+        midx, sidx, _ = _gated_pairs(index, pose, scene, cfg.general_max_corr)
         if midx.size < 3:
             if it == 0:
                 raise NoOverlapError(
@@ -236,27 +235,22 @@ def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
     Iterates nearest-neighbor matching and a rigid fit on the inliers until
     the mean inlier distance stops decreasing (by more than ``epsilon``) or
     ``piecewise_max_iters`` rounds have run. Returns the refined pose and
-    the inlier count at that pose, which becomes the update-gate baseline.
+    the inlier count at that pose, which becomes the update-gate baseline;
+    after the last round one more match only counts.
     """
     pose = t_gen.normalized()
     prev_mean = np.inf
-    for it in range(cfg.piecewise_max_iters):
+    for it in range(cfg.piecewise_max_iters + 1):
         midx, sidx, dist = _gated_pairs(model.index, pose, scene,
-                                        cfg.piecewise_inlier, strict=True)
+                                        cfg.piecewise_inlier)
         if midx.size < 3:
             raise RefinementDegenerateError(model.id, it)
         mean = float(dist.mean())
-        if prev_mean - mean <= cfg.epsilon:
+        if prev_mean - mean <= cfg.epsilon or it == cfg.piecewise_max_iters:
             return pose, int(midx.size)
         delta = umeyama(pose.apply(model.reg_points[midx]), scene[sidx])
         pose = delta.compose(pose)
         prev_mean = mean
-    # all iterations ran; the baseline is the count at the final pose
-    midx, _, _ = _gated_pairs(model.index, pose, scene, cfg.piecewise_inlier,
-                              strict=True)
-    if midx.size < 3:
-        raise RefinementDegenerateError(model.id, cfg.piecewise_max_iters)
-    return pose, int(midx.size)
 
 
 def update_pose(track: VertebraTrack, model: VertebraModel, scene: np.ndarray,
@@ -268,7 +262,7 @@ def update_pose(track: VertebraTrack, model: VertebraModel, scene: np.ndarray,
     pose is returned untouched.
     """
     midx, sidx, _ = _gated_pairs(model.index, track.pose, scene,
-                                 cfg.piecewise_inlier, strict=True)
+                                 cfg.piecewise_inlier)
     count = int(midx.size)
     if count < 3 or count < cfg.update_gate * track.baseline_inliers:
         return replace(track, updated=False, inliers=count)

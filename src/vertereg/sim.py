@@ -35,11 +35,6 @@ DEFAULT_BASELINE_MM = 63.0
 _HALF_NORMAL_MEDIAN = 0.6744897501960817
 
 
-def default_intrinsics() -> CameraIntrinsics:
-    return CameraIntrinsics(fx=380.0, fy=380.0, cx=200.0, cy=150.0,
-                            width=400, height=300)
-
-
 # ---------------------------------------------------------------------------
 # surface sampling helpers
 # ---------------------------------------------------------------------------
@@ -117,8 +112,7 @@ class Scene:
         return sensor.inverse()
 
 
-def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5,
-               intrinsics: CameraIntrinsics | None = None) -> Scene:
+def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5) -> Scene:
     """Deterministic five-vertebra scene.
 
     ``scale`` shrinks or grows the whole anatomy; ``spacing`` is the surface
@@ -128,7 +122,8 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5,
     """
     if scale <= 0:
         raise ValueError("anatomy scale must be positive")
-    intr = intrinsics or default_intrinsics()
+    intr = CameraIntrinsics(fx=380.0, fy=380.0, cx=200.0, cy=150.0,
+                            width=400, height=300)
     rng = np.random.default_rng([seed, 0x5CE7E])
 
     models = []
@@ -202,9 +197,7 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5,
 
     base = scene.base_vertebra_pose()
     for m in final:
-        posed = base.apply(m.points)
-        u = intr.fx * posed[:, 0] / posed[:, 2] + intr.cx
-        v = intr.fy * posed[:, 1] / posed[:, 2] + intr.cy
+        u, v = intr.project(*base.apply(m.points).T)
         if u.min() < 0 or u.max() >= intr.width or v.min() < 0 or v.max() >= intr.height:
             raise ValueError("scene does not fit the sensor field of view")
     return scene
@@ -259,17 +252,15 @@ class Occluder:
 
     def pixel_region(self, intr: CameraIntrinsics) -> tuple[int, int, int, int, float]:
         """(u0, u1, v0, v1) half-open pixel bounds of the front face + its depth."""
-        cx, cy, cz = self.center
+        x, y, z = self.center
         sx, sy, sz = self.size
-        z0 = cz - sz / 2.0
+        z0 = z - sz / 2.0
         if z0 <= 0:
             raise ValueError("occluder must sit in front of the sensor")
-        u0 = int(np.rint(intr.fx * (cx - sx / 2.0) / z0 + intr.cx))
-        u1 = int(np.rint(intr.fx * (cx + sx / 2.0) / z0 + intr.cx)) + 1
-        v0 = int(np.rint(intr.fy * (cy - sy / 2.0) / z0 + intr.cy))
-        v1 = int(np.rint(intr.fy * (cy + sy / 2.0) / z0 + intr.cy)) + 1
-        return (max(0, u0), min(intr.width, u1),
-                max(0, v0), min(intr.height, v1), z0)
+        u0, v0 = intr.project(x - sx / 2.0, y - sy / 2.0, z0)
+        u1, v1 = intr.project(x + sx / 2.0, y + sy / 2.0, z0)
+        return (max(0, int(np.rint(u0))), min(intr.width, int(np.rint(u1)) + 1),
+                max(0, int(np.rint(v0))), min(intr.height, int(np.rint(v1)) + 1), z0)
 
 
 def default_marker_reference() -> dict[int, np.ndarray]:
@@ -448,15 +439,8 @@ class Recording:
         obs = []
         for mid, corners in sorted(default_marker_reference().items()):
             cam = pose.apply(corners)
-            left = np.column_stack([
-                rig.left.fx * cam[:, 0] / cam[:, 2] + rig.left.cx,
-                rig.left.fy * cam[:, 1] / cam[:, 2] + rig.left.cy,
-            ])
-            cam_r = right_inv.apply(cam)
-            right = np.column_stack([
-                rig.right.fx * cam_r[:, 0] / cam_r[:, 2] + rig.right.cx,
-                rig.right.fy * cam_r[:, 1] / cam_r[:, 2] + rig.right.cy,
-            ])
+            left = np.column_stack(rig.left.project(*cam.T))
+            right = np.column_stack(rig.right.project(*right_inv.apply(cam).T))
             if self.spec.tool.corner_sigma_px > 0:
                 left = left + rng.normal(0.0, self.spec.tool.corner_sigma_px, left.shape)
                 right = right + rng.normal(0.0, self.spec.tool.corner_sigma_px, right.shape)

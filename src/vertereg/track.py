@@ -56,14 +56,6 @@ class MarkerObservation:
 MAX_RAY_GAP_MM = 10.0
 
 
-def _pixel_rays(px: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """Unit ray directions through (M, 2) pixels, camera frame."""
-    d = np.ones((px.shape[0], 3))
-    d[:, 0] = (px[:, 0] - intr.cx) / intr.fx
-    d[:, 1] = (px[:, 1] - intr.cy) / intr.fy
-    return d / np.sqrt(np.vecdot(d, d))[:, None]
-
-
 def _triangulate_corners(left_px: np.ndarray, right_px: np.ndarray,
                          rig: StereoRig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint triangulation of corresponding (M, 2) pixel rows.
@@ -74,8 +66,8 @@ def _triangulate_corners(left_px: np.ndarray, right_px: np.ndarray,
     loop as a 1-D ``@``, so every row matches a corner-by-corner loop bit
     for bit.
     """
-    d1 = _pixel_rays(left_px, rig.left)
-    d2 = np.matvec(quat_to_matrix(rig.baseline.q), _pixel_rays(right_px, rig.right))
+    d1 = rig.left.rays(left_px)
+    d2 = np.matvec(quat_to_matrix(rig.baseline.q), rig.right.rays(right_px))
     o2 = np.asarray(rig.baseline.t, dtype=float)
     # closest points on the lines o1 + s d1 and o2 + u d2 (o1 = 0)
     w0 = -o2
@@ -93,34 +85,13 @@ def _triangulate_corners(left_px: np.ndarray, right_px: np.ndarray,
     return 0.5 * (p1 + p2), parallel, np.sqrt(np.vecdot(diff, diff))
 
 
-def marker_pose(observed_3d: np.ndarray, reference: dict[int, np.ndarray],
-                ids: list[int]) -> RigidTransform:
-    """Sleeve pose from triangulated corner coordinates.
-
-    ``observed_3d`` stacks four corners per marker in the order given by
-    ``ids``; ``reference`` maps marker id to the matching corners in the
-    sleeve frame (known by design). Needs at least two markers; returns the
-    sleeve-to-camera transform from the least-squares rigid fit.
-    """
-    known = [i for i in ids if i in reference]
-    if len(known) < 2:
-        raise InsufficientMarkersError(
-            f"need at least 2 known markers, got {len(known)}")
-    observed_3d = np.asarray(observed_3d, dtype=float).reshape(-1, 3)
-    if observed_3d.shape[0] != 4 * len(ids):
-        raise ValueError(f"expected {4 * len(ids)} corners for {len(ids)} "
-                         f"markers, got {observed_3d.shape[0]}")
-    keep = np.concatenate([np.arange(4 * k, 4 * k + 4)
-                           for k, i in enumerate(ids) if i in reference])
-    ref = np.vstack([np.asarray(reference[i], dtype=float).reshape(4, 3)
-                     for i in ids if i in reference])
-    return umeyama(ref, observed_3d[keep])
-
-
 def track_pose(observations: list[MarkerObservation], rig: StereoRig,
                reference: dict[int, np.ndarray]) -> RigidTransform:
     """Triangulate every known observed marker and fit the sleeve pose.
 
+    ``reference`` maps marker id to its four corners in the sleeve frame
+    (known by design). Returns the sleeve-to-camera transform from the
+    least-squares rigid fit of those corners onto the triangulated ones.
     A marker with an unreliable corner, one whose viewing rays are
     near-parallel or miss each other by more than ``MAX_RAY_GAP_MM``, is
     left out of the fit; fewer than two markers left raise
@@ -138,7 +109,8 @@ def track_pose(observations: list[MarkerObservation], rig: StereoRig,
     if len(ids) < 2:
         raise InsufficientMarkersError(
             f"need at least 2 reliably triangulated markers, got {len(ids)}")
-    return marker_pose(points.reshape(-1, 4, 3)[reliable], reference, ids)
+    return umeyama(np.vstack([reference[i] for i in ids]),
+                   points[np.repeat(reliable, 4)])
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,19 @@ def test_serve_reports_missing_recording_as_format_error(tmp_path, capsys):
     assert _format_error(capsys)["file"].endswith("recording.json")
 
 
+@pytest.mark.parametrize("fps", ["-30", "nan"])
+def test_serve_rejects_an_fps_that_is_not_positive_and_finite(
+        tool_recording, capsys, fps):
+    root, _ = tool_recording
+    rc = cli.main(["serve", "--recording", str(root),
+                   "--poses", str(root / "gt_poses.csv"), "--fps", fps,
+                   "--dest", "127.0.0.1:9"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("text", ['{"fps": null, "frames": 1, "seed": 0}', "[]",
                                   '{"fps": 30, "frames": 1, "seed": 0, '
                                   '"intrinsics": {"fx": 1}}'])
@@ -284,6 +297,14 @@ def _write_mask(frame, shape):
     return apply
 
 
+def _write_frame(frame, shape):
+    def apply(rec):
+        stem = rec / "frames" / f"f{frame:06d}"
+        formats.write_depth(stem.with_suffix(".dpth"), np.full(shape, 400.0))
+        formats.write_mask(stem.with_suffix(".msk"), np.ones(shape, bool))
+    return apply
+
+
 def _edit_stereo(change):
     def apply(rec):
         path = rec / "stereo.json"
@@ -321,6 +342,8 @@ RECORDING_ERRORS = {
         "[" * 100000), "track", "stereo.json"),
     "mask smaller than its depth frame": (_write_mask(3, (10, 10)), "register",
                                           "frames/f000003.msk"),
+    "frame smaller than the intrinsics": (_write_frame(3, (10, 10)), "register",
+                                          "frames/f000003.dpth"),
 }
 
 

@@ -22,6 +22,19 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1.0, fy=1.0, cx=20, cy=0, width=10, height=10)
 
+    def test_principal_ray_projects_to_the_principal_point(self):
+        ray = INTR.rays(np.array([[INTR.cx, INTR.cy]]))
+        np.testing.assert_array_equal(ray, [[0.0, 0.0, 1.0]])
+        assert INTR.project(*(ray[0] * 500.0)) == (INTR.cx, INTR.cy)
+
+    def test_project_inverts_rays(self):
+        rng = np.random.default_rng(15)
+        px = np.column_stack([rng.uniform(0.0, INTR.width, 500),
+                              rng.uniform(0.0, INTR.height, 500)])
+        d = rng.uniform(300.0, 700.0, (500, 1))
+        u, v = INTR.project(*(INTR.rays(px) * d).T)
+        np.testing.assert_allclose(np.column_stack([u, v]), px, rtol=0, atol=1e-9)
+
 
 def _depth_to_cloud_2d(depth, intr, mask=None):
     """The 2-D np.nonzero back-projection that depth_to_cloud replaced."""
@@ -234,7 +247,7 @@ class TestNearestNeighbors:
         full = np.linalg.norm(queries[:, None] - ref[None], axis=-1)
         brute_idx = full.argmin(axis=1)
         brute_dist = full.min(axis=1)
-        keep = brute_dist <= 5.0
+        keep = brute_dist < 5.0
         np.testing.assert_array_equal(qidx, np.nonzero(keep)[0])
         np.testing.assert_array_equal(ridx, brute_idx[keep])
         np.testing.assert_allclose(dist, brute_dist[keep], atol=1e-9)
@@ -264,7 +277,7 @@ class TestNearestNeighbors:
             queries = np.vstack([pose.apply(rng.normal(0.0, 30.0, (2000, 3))),
                                  np.reshape(faces, (-1, 3))])
             dist, idx = tree.query(queries, k=1, distance_upper_bound=max_dist)
-            found = np.isfinite(dist)
+            found = dist < max_dist
             qidx, ridx, d = index.query(queries, max_dist)
             np.testing.assert_array_equal(qidx, np.flatnonzero(found))
             np.testing.assert_array_equal(ridx, idx[found])
@@ -307,7 +320,7 @@ class TestNearestNeighbors:
         qidx, ridx, d = index.query(queries, max_dist)
         assert sent[0].tobytes() == queries[near].tobytes()
         dist, idx = tree.query(queries[near], k=1, distance_upper_bound=max_dist)
-        found = np.isfinite(dist)
+        found = dist < max_dist
         np.testing.assert_array_equal(qidx, near[found])
         np.testing.assert_array_equal(ridx, idx[found])
         assert d.tobytes() == dist[found].tobytes()

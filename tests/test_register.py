@@ -49,13 +49,14 @@ def test_pairs_reported_at_exactly_the_gate_are_not_inliers():
     for ref in model_pts:
         u = rng.normal(size=(200, 3))
         candidates = ref + gate * u / np.linalg.norm(u, axis=1)[:, None]
-        qidx, _, dist = model.index.query(candidates, gate)
-        scene.append(candidates[qidx[dist == gate][0]])
+        dist, _ = model.index._tree.query(candidates, k=1, distance_upper_bound=gate)
+        scene.append(candidates[np.flatnonzero(dist == gate)[0]])
     scene = np.array(scene)
-    # at the identity pose the scene enters the model frame unchanged
-    qidx, ridx, dist = model.index.query(scene, gate)
-    assert qidx.tolist() == ridx.tolist() == [0, 1, 2]
+    dist, idx = model.index._tree.query(scene, k=1, distance_upper_bound=gate)
+    assert idx.tolist() == [0, 1, 2]
     assert np.all(dist == gate)
+    # at the identity pose the scene enters the model frame unchanged
+    assert all(a.size == 0 for a in model.index.query(scene, gate))
 
     track = register.VertebraTrack(RigidTransform.identity(), baseline_inliers=0,
                                    updated=True, frozen=False)
@@ -108,8 +109,8 @@ def test_perturbation_translation_matches_composed_prior(
     np.testing.assert_array_equal(got.t, want.t)
 
 
-@pytest.mark.parametrize("gate,strict", [(2.0, True), (5.0, False)])
-def test_matcher_pairs_match_brute_force_over_posed_model(coarse_scene, gate, strict):
+@pytest.mark.parametrize("gate", [2.0, 5.0])
+def test_matcher_pairs_match_brute_force_over_posed_model(coarse_scene, gate):
     rng = np.random.default_rng(3)
     model = coarse_scene.models[1]
     pose = RigidTransform(random_unit_quat(rng), rng.normal(0.0, 50.0, 3))
@@ -118,7 +119,7 @@ def test_matcher_pairs_match_brute_force_over_posed_model(coarse_scene, gate, st
     far = posed.mean(axis=0) + rng.normal(0.0, 60.0, (100, 3))
     scene = np.vstack([near, far])
 
-    midx, sidx, dist = register._gated_pairs(model.index, pose, scene, gate, strict)
+    midx, sidx, dist = register._gated_pairs(model.index, pose, scene, gate)
 
     full = np.linalg.norm(scene[:, None] - posed[None], axis=-1)
     brute_dist = full.min(axis=1)
@@ -135,20 +136,30 @@ def _initial_cloud(frame):
                                 cloud.largest_component(mask))
 
 
-# a single iteration never stops early, so the count comes after the loop
-@pytest.mark.parametrize("runs_every_iteration", [False, True])
+# 50 iterations converge early; 1 runs out, so its last match only counts;
+# 0 only counts, at the en-bloc pose
+@pytest.mark.parametrize("max_iters", [50, 1, 0])
 def test_refinement_baseline_is_the_matcher_count_at_the_refined_pose(
-        initial_frame, coarse_scene, runs_every_iteration):
-    cfg = register.RegistrationConfig(
-        piecewise_max_iters=1 if runs_every_iteration else 50)
+        initial_frame, coarse_scene, max_iters):
+    cfg = register.RegistrationConfig(piecewise_max_iters=max_iters)
     state = register.register_initial_frame(initial_frame, coarse_scene.models,
                                             sim.oracle_segmenter, cfg)
     scene = _initial_cloud(initial_frame)
     for model in coarse_scene.models:
         track = state.vertebrae[model.id]
+        if max_iters == 0:
+            want = state.en_bloc.normalized()
+            assert track.pose.q.tobytes() == want.q.tobytes()
+            assert track.pose.t.tobytes() == want.t.tobytes()
         midx, _, _ = register._gated_pairs(model.index, track.pose, scene,
-                                           cfg.piecewise_inlier, strict=True)
+                                           cfg.piecewise_inlier)
         assert track.baseline_inliers == track.inliers == midx.size > 0
+
+
+def test_negative_iteration_caps_are_rejected():
+    for key in ("general_max_iters", "piecewise_max_iters"):
+        with pytest.raises(ValueError, match="iteration caps"):
+            register.RegistrationConfig(**{key: -1})
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import pytest
 
 from vertereg import sim, track
 from vertereg.geom import (RigidTransform, axis_angle_quat, hemisphere_align,
-                           quat_normalize, quat_to_matrix)
+                           quat_normalize, quat_to_matrix, umeyama)
 
 
 def test_kalman_returns_its_first_measurement():
@@ -158,7 +158,7 @@ def test_one_pass_over_all_markers_matches_marker_by_marker(coarse_scene):
     obs = frame.observations
     per_marker = np.vstack([track._triangulate_corners(o.left_px, o.right_px, rig)[0]
                             for o in obs])
-    want = track.marker_pose(per_marker, markers, [o.marker_id for o in obs])
+    want = umeyama(np.vstack([markers[o.marker_id] for o in obs]), per_marker)
     got = track.track_pose(obs, rig, markers)
     assert got.q.tobytes() == want.q.tobytes()
     assert got.t.tobytes() == want.t.tobytes()
