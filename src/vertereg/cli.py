@@ -175,7 +175,6 @@ def cmd_simulate(args) -> int:
                                                   freq_hz=0.25),
                             corner_sigma_px=args.tool_noise_px)
 
-    scene = sim.make_scene(seed=args.seed, scale=args.scale, spacing=args.spacing)
     spec = sim.RecordingSpec(
         frames=args.frames,
         fps=args.fps,
@@ -188,6 +187,7 @@ def cmd_simulate(args) -> int:
         mask_smooth_k=args.mask_smooth_k,
         tool=tool,
     )
+    scene = sim.make_scene(seed=args.seed, scale=args.scale, spacing=args.spacing)
     rec = sim.render_recording(scene, spec, seed=args.seed)
     formats.write_recording(rec, args.out, target_vertebra=args.target_vertebra,
                             target_screw=args.target_screw)
@@ -418,6 +418,8 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_serve(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"--count {args.count} is below 1")
     meta = formats.read_recording_meta(args.recording)
     fps = meta["fps"] if args.fps is None else args.fps
     if not 0.0 < fps < math.inf:
@@ -427,9 +429,7 @@ def cmd_serve(args) -> int:
     if args.drill_poses:
         drill = formats.poses_by_frame(formats.read_poses(args.drill_poses))
 
-    frames = sorted(by_frame)
-    if args.count:
-        frames = frames[:args.count]
+    frames = sorted(by_frame)[:args.count]
     packets = []
     for f in frames:
         rows = dict(by_frame[f])

@@ -5,7 +5,8 @@ The pipeline runs in three stages on an initial (unoccluded) frame:
 1. initial pose — predicted orientation + centroid of the largest
    segmented component,
 2. general alignment — en-bloc point-to-point ICP of the combined models,
-   matched into their coarse subset (one point per occupied 2 mm voxel),
+   matching the coarse subset of the scene (one point per occupied 2 mm
+   voxel) into the coarse subset of the models,
 3. piecewise refinement — per-vertebra ICP with a 2 mm inlier gate, matched
    into the full registration subset.
 
@@ -21,10 +22,11 @@ models, not per frame. Every stage counts only the pairs strictly within
 its gate (``NearestNeighborIndex.query``), so an inlier count is the number
 of scene points strictly within the gate of the posed model, and the
 update gate compares two counts of that one kind. The en-bloc stage only
-has to land inside the per-vertebra capture range, so it matches into the
-coarse subset; the refinement, its baseline and every interaction-frame
-update match into the full registration subset, which sets the final
-accuracy.
+has to land inside the per-vertebra capture range, so it matches the coarse
+subset of the scene into the coarse subset of the models. The prior's
+centroid is taken over the full segmented cloud, and the refinement, its
+baseline and every interaction-frame update match the full cloud into the
+full registration subset, which sets the final accuracy.
 """
 
 from __future__ import annotations
@@ -202,7 +204,9 @@ def general_alignment(index: NearestNeighborIndex, t_init: RigidTransform,
                       ) -> RigidTransform:
     """En-bloc ICP of the combined models (indexed by ``index``) to the scene.
 
-    ``index`` holds the stacked ``coarse_points`` of the models.
+    ``index`` holds the stacked ``coarse_points`` of the models, and
+    ``register_initial_frame`` passes the coarse subset of the segmented
+    cloud as ``scene``: one point per occupied ``COARSE_VOXEL_MM`` voxel.
 
     Correspondences are capped at ``general_max_corr``; iteration stops
     after ``general_max_iters`` rounds or when the incremental transform
@@ -301,7 +305,8 @@ def register_initial_frame(frame, models: list[VertebraModel], segmenter,
             t_init.t + initial_perturbation.t)
 
     combined = NearestNeighborIndex(np.vstack([m.coarse_points for m in models]))
-    t_gen = general_alignment(combined, t_init, pc_s, cfg)
+    t_gen = general_alignment(combined, t_init,
+                              pc_s[voxel_subsample(pc_s, COARSE_VOXEL_MM)], cfg)
 
     vertebrae: dict[int, VertebraTrack] = {}
     for model in sorted(models, key=lambda m: m.id):

@@ -305,8 +305,8 @@ class RecordingSpec:
     def __post_init__(self):
         if self.frames < 1:
             raise ValueError("a recording needs at least one frame")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0.0 < self.fps < math.inf:
+            raise ValueError(f"fps {self.fps!r} is not positive and finite")
         if self.depth_sigma < 0:
             raise ValueError("depth noise sigma must be nonnegative")
         if not 0.0 <= self.dropout < 1.0:

@@ -143,6 +143,59 @@ def test_serve_rejects_an_fps_that_is_not_positive_and_finite(
     assert json.loads(lines[0])["error"] == "ValueError"
 
 
+def _serve_count(root, count) -> tuple[int, list[bytes]]:
+    """Exit code of ``serve --count count`` and the datagrams it sent."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(0.2)
+    host, port = sock.getsockname()
+    packets = []
+    with sock:
+        rc = cli.main(["serve", "--recording", str(root),
+                       "--poses", str(root / "gt_poses.csv"), "--fps", "1000",
+                       "--count", count, "--dest", f"{host}:{port}"])
+        try:
+            while True:
+                packets.append(sock.recv(65536))
+        except socket.timeout:
+            pass
+    return rc, packets
+
+
+def test_serve_count_sends_that_many_leading_frames(tool_recording):
+    root, _ = tool_recording
+    rc, packets = _serve_count(root, "3")
+    assert rc == 0
+    assert [stream.decode_packet(p)[0] for p in packets] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("count", ["-118", "0"])
+def test_serve_rejects_a_count_below_one(tool_recording, capsys, count):
+    root, _ = tool_recording
+    rc, packets = _serve_count(root, count)
+    assert rc == 1
+    assert packets == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ValueError"
+    assert "--count" in doc["message"]
+
+
+@pytest.mark.parametrize("fps", ["nan", "inf", "0"])
+def test_simulate_rejects_an_fps_that_is_not_positive_and_finite(
+        tmp_path, capsys, fps):
+    out = tmp_path / "rec"
+    rc = cli.main(["simulate", "--frames", "2", "--fps", fps, "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ValueError"
+    assert "positive and finite" in doc["message"]
+    assert not (out / "recording.json").exists()
+
+
 @pytest.mark.parametrize("text", ['{"fps": null, "frames": 1, "seed": 0}', "[]",
                                   '{"fps": 30, "frames": 1, "seed": 0, '
                                   '"intrinsics": {"fx": 1}}'])

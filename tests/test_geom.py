@@ -201,6 +201,16 @@ class TestRigidTransform:
         p = np.array([3.0, -4.0, 5.0])
         np.testing.assert_array_equal(RigidTransform.identity().apply(p), p)
 
+    @pytest.mark.parametrize("n", [0, 1, 2286])
+    def test_apply_to_a_cloud_is_the_broadcast_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(13)
+        t = random_transform(rng)
+        pts = rng.normal(0, 60, (n, 3))
+        r = geom.quat_to_matrix(t.q)
+        got = t.apply(pts)
+        assert got.shape == (n, 3)
+        assert got.tobytes() == (pts @ r.T + t.t).tobytes()
+
     def test_compose_matches_sequential_apply(self):
         rng = np.random.default_rng(10)
         for _ in range(20):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import StaticFrames, bake_selfconsistent_models, random_unit_quat
-from vertereg import cloud, register, sim
+from vertereg import cloud, metrics, register, sim
 from vertereg.geom import RigidTransform, axis_angle_quat
 
 
@@ -251,3 +251,41 @@ def test_initial_state_keeps_the_en_bloc_pose_it_refined_from(
     for track in general.vertebrae.values():
         assert bits(track.pose) == bits(refined.en_bloc)
         assert (track.baseline_inliers, track.updated, track.frozen) == (0, True, False)
+
+
+def test_en_bloc_matches_the_coarse_scene_and_refinement_the_full_cloud(
+        monkeypatch, initial_frame, coarse_scene, default_cfg):
+    seen = {"general": [], "piecewise": []}
+    general, piecewise = register.general_alignment, register.piecewise_refine
+
+    def spy_general(index, t_init, scene, cfg):
+        seen["general"].append(scene)
+        return general(index, t_init, scene, cfg)
+
+    def spy_piecewise(model, t_gen, scene, cfg):
+        seen["piecewise"].append(scene)
+        return piecewise(model, t_gen, scene, cfg)
+
+    monkeypatch.setattr(register, "general_alignment", spy_general)
+    monkeypatch.setattr(register, "piecewise_refine", spy_piecewise)
+    register.register_initial_frame(initial_frame, coarse_scene.models,
+                                    sim.oracle_segmenter, default_cfg)
+    full = _initial_cloud(initial_frame)
+    coarse = full[cloud.voxel_subsample(full, register.COARSE_VOXEL_MM)]
+    assert [s.tobytes() for s in seen["general"]] == [coarse.tobytes()]
+    assert 0 < coarse.shape[0] < full.shape[0]
+    assert len(seen["piecewise"]) == len(coarse_scene.models)
+    for scene in seen["piecewise"]:
+        assert scene.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prior_off_by_10_degrees_and_10_mm_still_registers(
+        initial_frame, coarse_scene, default_cfg, seed):
+    off = sim.perturbation(np.random.default_rng(seed), np.radians(10.0), 10.0)
+    state = register.register_initial_frame(initial_frame, coarse_scene.models,
+                                            sim.oracle_segmenter, default_cfg,
+                                            initial_perturbation=off)
+    tre = [metrics.tre(initial_frame.gt_poses[m.id], state.vertebrae[m.id].pose,
+                       m.landmarks) for m in coarse_scene.models]
+    assert np.mean(tre) < 1.0
