@@ -6,6 +6,12 @@ turns stereo corner observations into smoothed drill poses, ``evaluate``
 scores estimated poses against ground truth, ``ablate`` compares the four
 pipeline variants, and ``serve`` replays poses as UDP telemetry.
 
+The commands run the paper's one parameter set: ``register`` and
+``ablate`` use ``RegistrationConfig()`` and ``track`` uses ``PoseKalman()``.
+Library callers vary the method through ``RegistrationConfig``. Only the
+telemetry destination is set per deployment, by ``--stream`` / ``--dest``
+or ``$VERTEREG_STREAM``.
+
 All commands are deterministic given their seed: re-running produces
 byte-identical output files. ``register`` writes each frame's rows to
 ``poses.csv`` and ``state_log.csv`` (and sends its datagram) as soon as
@@ -21,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -35,49 +40,16 @@ from . import formats, metrics, sim, stream
 from .formats import FormatError, PoseRow
 from .geom import RigidTransform, quat_to_matrix
 from .register import ABLATION_MODES, RegistrationConfig, run_recording
-from .track import InsufficientMarkersError, KalmanConfig, PoseKalman, track_pose
+from .track import InsufficientMarkersError, PoseKalman, track_pose
 
 STREAM_ENV = "VERTEREG_STREAM"
 DEFAULT_STREAM = "127.0.0.1:9750"
-
-
-def _schema(cls) -> dict:
-    """{field: converter} of a config dataclass; every default is an int or
-    a float, so its type parses the value."""
-    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
-
-
-_REG_KEYS = {**_schema(RegistrationConfig), "mode": str, "stream": str}
-_TRACK_KEYS = _schema(KalmanConfig)
 
 
 def _fail(kind: str, message: str, **extra) -> None:
     doc = {"error": kind, "message": message}
     doc.update({k: v for k, v in extra.items() if v is not None})
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
-
-
-def _config_values(path, schema) -> dict:
-    if path is None:
-        return {}
-    return formats.parse_config(path, schema)
-
-
-def _config(cls, args, file_values: dict):
-    """``cls`` with each field from its flag, else the config file, else its
-    default."""
-    merged = {}
-    for f in dataclasses.fields(cls):
-        value = getattr(args, f.name)
-        merged[f.name] = file_values.get(f.name, f.default) if value is None else value
-    return cls(**merged)
-
-
-def _add_flags(parser, cls) -> None:
-    """One ``--field-name`` flag per field of a config dataclass."""
-    for key, conv in _schema(cls).items():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=conv,
-                            default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +109,9 @@ def _parse_occluder(text: str) -> sim.Occluder:
 
 def _parse_dest(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host:
-        raise ValueError(f"stream destination must be host:port, got {text!r}")
+    if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:
+        raise ValueError(f"stream destination must be host:port with a port "
+                         f"in 1..65535, got {text!r}")
     return host, int(port)
 
 
@@ -208,22 +181,18 @@ def _packet(frame: int, fps: float, rows_by_slot: dict[int, PoseRow]) -> bytes:
 
 
 def cmd_register(args) -> int:
-    file_values = _config_values(args.config, _REG_KEYS)
-    cfg = _config(RegistrationConfig, args, file_values)
-    mode = args.mode or file_values.get("mode", "Full")
-
     rec = formats.LoadedRecording(args.recording)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     perturbation = None
     if args.perturb_initial:
         deg, mm, pseed = _parse_perturb(args.perturb_initial)
         perturbation = sim.perturbation(np.random.default_rng(pseed),
                                         math.radians(deg), mm)
 
-    dest_text = args.stream or file_values.get("stream") or os.environ.get(STREAM_ENV)
-    streamer = stream.PoseStreamer(*_parse_dest(dest_text)) if dest_text else None
+    dest_text = args.stream or os.environ.get(STREAM_ENV)
+    dest = _parse_dest(dest_text) if dest_text else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    streamer = stream.PoseStreamer(*dest) if dest else None
 
     t_start = time.monotonic()
     frames = 0
@@ -232,8 +201,9 @@ def cmd_register(args) -> int:
           open(out / "state_log.csv", "w") as log_out):
         poses_out.write(formats.POSES_HEADER + "\n")
         log_out.write("frame,vertebra,inliers,baseline,updated,frozen\n")
-        for state in run_recording(rec, rec.models, sim.oracle_segmenter, cfg,
-                                   mode=mode, initial_perturbation=perturbation):
+        for state in run_recording(rec, rec.models, sim.oracle_segmenter,
+                                   RegistrationConfig(), mode=args.mode,
+                                   initial_perturbation=perturbation):
             f, tracks = state.frame_index, sorted(state.vertebrae.items())
             rows = {vid: PoseRow(f, vid, True, tr.updated, tr.pose)
                     for vid, tr in tracks}
@@ -246,7 +216,7 @@ def cmd_register(args) -> int:
             frames += 1
     elapsed = time.monotonic() - t_start
     print(f"registered {frames} frames in {elapsed:.2f}s "
-          f"({mode} mode) -> {out / 'poses.csv'}")
+          f"({args.mode} mode) -> {out / 'poses.csv'}")
     return 0
 
 
@@ -260,8 +230,7 @@ def cmd_track(args) -> int:
         raise ValueError(f"recording {args.recording} has no stereo observations")
     rig, markers = rec.stereo()
     per_frame = rec.observations()
-    kalman = PoseKalman(_config(KalmanConfig, args,
-                                _config_values(args.config, _TRACK_KEYS)))
+    kalman = PoseKalman()
     dt = 1.0 / rec.fps
     rows = []
     last = None
@@ -291,12 +260,14 @@ def cmd_track(args) -> int:
 def cmd_evaluate(args) -> int:
     rec = formats.LoadedRecording(args.recording)
     est = formats.poses_by_frame(formats.read_poses(args.poses))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     include_caps = not args.lateral_only
 
     by_id = {m.id: m for m in rec.models}
     frames = sorted(est)
+    for f in frames:
+        if not 1 <= f <= rec.frame_count:
+            raise FormatError(f"frame {f} is outside the recording's frames "
+                              f"1..{rec.frame_count}", args.poses)
     start = metrics.tre_start_frame(len(frames))
 
     frame_lines = ["frame,vertebra,valid,updated,tre_mm"]
@@ -334,10 +305,15 @@ def cmd_evaluate(args) -> int:
                 screw_lines.append(f"{f},{vid},{sidx},{traj!r},{entry!r},"
                                    f"{depth_txt},{int(safe)}")
 
+    target_key = (rec.target_vertebra, rec.target_screw)
+    if target_key not in perf_series:
+        raise FormatError(f"no valid row of target vertebra {rec.target_vertebra}",
+                          args.poses)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "frame_metrics.csv").write_text("\n".join(frame_lines) + "\n")
     (out / "screw_metrics.csv").write_text("\n".join(screw_lines) + "\n")
 
-    target_key = (rec.target_vertebra, rec.target_screw)
     success = metrics.success_rate(perf_series[target_key])
     gt1 = rec.gt_pose(rec.target_vertebra, frames[0])
     coronal_normal = quat_to_matrix(gt1.q) @ np.array([0.0, 0.0, 1.0])
@@ -384,12 +360,11 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ablate(args) -> int:
-    cfg = _config(RegistrationConfig, args, _config_values(args.config, _REG_KEYS))
     rec = formats.LoadedRecording(args.recording)
     start = metrics.tre_start_frame(rec.frame_count)
 
-    series = metrics.run_ablation(rec, rec.models, sim.oracle_segmenter, cfg,
-                                  rec.gt_pose)
+    series = metrics.run_ablation(rec, rec.models, sim.oracle_segmenter,
+                                  RegistrationConfig(), rec.gt_pose)
     results = {mode: {vid: metrics.recording_tre(values, start)
                       for vid, values in per_vertebra.items()}
                for mode, per_vertebra in series.items()}
@@ -488,19 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="run the registration pipeline")
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=ABLATION_MODES)
-    p.add_argument("--config")
+    p.add_argument("--mode", choices=ABLATION_MODES, default="Full")
     p.add_argument("--stream", help="host:port for live pose datagrams")
     p.add_argument("--perturb-initial", metavar="DEG:MM:SEED",
                    help="corrupt the initial pose estimate (robustness testing)")
-    _add_flags(p, RegistrationConfig)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("track", help="smooth drill poses from stereo corners")
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    _add_flags(p, KalmanConfig)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("evaluate", help="score estimated poses vs ground truth")
@@ -514,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="compare the four pipeline variants")
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    _add_flags(p, RegistrationConfig)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("serve", help="replay poses as UDP telemetry")

@@ -25,8 +25,7 @@ All binary formats are little-endian and fully specified here:
   all finite. ASCII and float32 PLYs are rejected. The sidecar holds the id,
   landmarks, pedicle point indices, registration point indices and screw
   plans;
-- poses: CSV ``frame,vertebra,valid,updated,qw,qx,qy,qz,tx,ty,tz``;
-- config: ``key = value`` lines, ``#`` comments, unknown keys rejected.
+- poses: CSV ``frame,vertebra,valid,updated,qw,qx,qy,qz,tx,ty,tz``.
 
 Floats in text files are written with ``repr`` and model vertices as their
 f64 bytes, so write-read-write round trips are byte-identical.
@@ -397,36 +396,6 @@ def _stereo_from(doc: dict) -> tuple[StereoRig, dict[int, np.ndarray]]:
 
 def read_stereo(path) -> tuple[StereoRig, dict[int, np.ndarray]]:
     return _read_json(path, _stereo_from)
-
-
-# ---------------------------------------------------------------------------
-# plain-text configuration
-# ---------------------------------------------------------------------------
-
-def parse_config(path, schema: dict) -> dict:
-    """Parse ``key = value`` lines against a {key: converter} schema.
-
-    Blank lines and ``#`` comments are allowed; unknown keys fail fast.
-    """
-    raw = Path(path).read_bytes()
-    offset = 0
-    out = {}
-    for line in raw.split(b"\n"):
-        text = line.decode("utf-8", errors="replace").strip()
-        if text and not text.startswith("#"):
-            if "=" not in text:
-                raise FormatError(f"expected 'key = value', got {text!r}", path, offset)
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in schema:
-                raise FormatError(f"unknown configuration key {key!r}", path, offset)
-            try:
-                out[key] = schema[key](value)
-            except ValueError:
-                raise FormatError(f"bad value {value!r} for key {key!r}", path, offset)
-        offset += len(line) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,9 @@ class RecordingSpec:
             raise ValueError("depth noise sigma must be nonnegative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if not (self.mask_smooth_k >= 1 and self.mask_smooth_k % 2 == 1):
+            raise ValueError(f"mask_smooth_k {self.mask_smooth_k!r} is not a "
+                             f"positive odd integer")
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,10 @@ def track_pose(observations: list[MarkerObservation], rig: StereoRig,
                    points[np.repeat(reliable, 4)])
 
 
-@dataclass(frozen=True)
-class KalmanConfig:
-    # process noise tuned so the filter at 30 fps roughly halves the standard
-    # deviation of white measurement noise at steady state
-    sigma_a: float = 2.0     # mm/s^2 (white acceleration)
-    sigma_m: float = 0.5     # measurement noise, mm
+# process noise tuned so the filter at 30 fps roughly halves the standard
+# deviation of white measurement noise at steady state
+SIGMA_A = 2.0     # mm/s^2 (white acceleration)
+SIGMA_M = 0.5     # measurement noise, mm
 
 
 class PoseKalman:
@@ -135,8 +133,7 @@ class PoseKalman:
     velocity and acceleration per channel) carry them all.
     """
 
-    def __init__(self, cfg: KalmanConfig = KalmanConfig()):
-        self.cfg = cfg
+    def __init__(self):
         self._x: np.ndarray | None = None
         self._p: np.ndarray | None = None
         self._last_q: np.ndarray | None = None
@@ -151,15 +148,15 @@ class PoseKalman:
         if self._x is None:
             self._x = np.zeros((7, 3))
             self._x[:, 0] = z
-            self._p = np.diag([self.cfg.sigma_m ** 2, 1e2, 1e2])
+            self._p = np.diag([SIGMA_M ** 2, 1e2, 1e2])
         else:
             f = np.array([[1.0, dt, 0.5 * dt * dt],
                           [0.0, 1.0, dt],
                           [0.0, 0.0, 1.0]])
             g = np.array([0.5 * dt * dt, dt, 1.0])
             x = np.matvec(f, self._x)
-            p = f @ self._p @ f.T + self.cfg.sigma_a ** 2 * np.outer(g, g)
-            k = p[:, 0] / (p[0, 0] + self.cfg.sigma_m ** 2)
+            p = f @ self._p @ f.T + SIGMA_A ** 2 * np.outer(g, g)
+            k = p[:, 0] / (p[0, 0] + SIGMA_M ** 2)
             self._x = x + np.outer(z - x[:, 0], k)
             p = p - np.outer(k, p[0, :])
             self._p = 0.5 * (p + p.T)

@@ -9,6 +9,7 @@ import pytest
 
 from vertereg import cli, formats, sim, stream
 from vertereg.geom import RigidTransform
+from vertereg.register import ABLATION_MODES, RegistrationConfig
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,14 @@ def _format_error(capsys) -> dict:
     return doc
 
 
+def _value_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ValueError"
+    return doc
+
+
 def test_register_reports_missing_recording_key_as_format_error(
         recording_dir, tmp_path, capsys):
     meta = json.loads((recording_dir / "recording.json").read_text())
@@ -138,9 +147,7 @@ def test_serve_rejects_an_fps_that_is_not_positive_and_finite(
                    "--poses", str(root / "gt_poses.csv"), "--fps", fps,
                    "--dest", "127.0.0.1:9"])
     assert rc == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ValueError"
+    _value_error(capsys)
 
 
 def _serve_count(root, count) -> tuple[int, list[bytes]]:
@@ -175,11 +182,7 @@ def test_serve_rejects_a_count_below_one(tool_recording, capsys, count):
     rc, packets = _serve_count(root, count)
     assert rc == 1
     assert packets == []
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    doc = json.loads(lines[0])
-    assert doc["error"] == "ValueError"
-    assert "--count" in doc["message"]
+    assert "--count" in _value_error(capsys)["message"]
 
 
 @pytest.mark.parametrize("fps", ["nan", "inf", "0"])
@@ -188,11 +191,7 @@ def test_simulate_rejects_an_fps_that_is_not_positive_and_finite(
     out = tmp_path / "rec"
     rc = cli.main(["simulate", "--frames", "2", "--fps", fps, "--out", str(out)])
     assert rc == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    doc = json.loads(lines[0])
-    assert doc["error"] == "ValueError"
-    assert "positive and finite" in doc["message"]
+    assert "positive and finite" in _value_error(capsys)["message"]
     assert not (out / "recording.json").exists()
 
 
@@ -450,49 +449,79 @@ def _capture(*args, **kwargs):
     raise _Configured(args, kwargs)
 
 
-# command -> (module and name of the stage to stop at, (config, mode) of its call)
-CONFIG_USERS = {
-    "register": (cli, "run_recording", lambda args, kwargs: (args[3], kwargs["mode"])),
-    "ablate": (cli.metrics, "run_ablation", lambda args, kwargs: (args[3], None)),
-    "track": (cli, "PoseKalman", lambda args, kwargs: (args[0], None)),
-}
-
-
-@pytest.mark.parametrize("command,file_text,flags,want,want_mode", [
-    ("register", "", [], {"general_max_iters": 50, "update_gate": 0.9}, "Full"),
-    ("register", "general_max_iters = 7\nupdate_gate = 0.8\nmode = Refinement\n",
-     ["--update-gate", "0.7"],
-     {"general_max_iters": 7, "update_gate": 0.7, "piecewise_inlier": 2.0},
-     "Refinement"),
-    ("register", "mode = Refinement\n", ["--mode", "General"], {}, "General"),
-    ("ablate", "epsilon = 1e-6\npiecewise_max_iters = 9\n",
-     ["--piecewise-max-iters", "3"],
-     {"epsilon": 1e-6, "piecewise_max_iters": 3, "general_max_corr": 5.0}, None),
-    ("track", "", [], {"sigma_a": 2.0, "sigma_m": 0.5}, None),
-    ("track", "sigma_a = 3.0\nsigma_m = 0.7\n", ["--sigma-m", "0.4"],
-     {"sigma_a": 3.0, "sigma_m": 0.4}, None),
-])
-def test_each_setting_comes_from_its_flag_then_the_file_then_the_default(
-        tool_recording, tmp_path, monkeypatch, command, file_text, flags, want,
-        want_mode):
-    root, _ = tool_recording
-    module, stage, unpack = CONFIG_USERS[command]
-    monkeypatch.setattr(module, stage, _capture)
-    argv = [command, "--recording", str(root), "--out", str(tmp_path / "out")]
-    if file_text:
-        (tmp_path / "cfg").write_text(file_text)
-        argv += ["--config", str(tmp_path / "cfg")]
+@pytest.mark.parametrize("flags,want", [(["--mode", m], m) for m in ABLATION_MODES]
+                         + [([], "Full")])
+def test_register_hands_its_mode_and_the_default_config_to_the_pipeline(
+        recording_dir, tmp_path, monkeypatch, flags, want):
+    monkeypatch.setattr(cli, "run_recording", _capture)
     with pytest.raises(_Configured) as e:
-        cli.main(argv + flags)
-    cfg, mode = unpack(*e.value.args)
-    assert {key: getattr(cfg, key) for key in want} == want
-    assert mode == want_mode
+        cli.main(["register", "--recording", str(recording_dir),
+                  "--out", str(tmp_path)] + flags)
+    args, kwargs = e.value.args
+    assert args[3] == RegistrationConfig()
+    assert kwargs["mode"] == want
 
 
-def test_a_config_file_with_an_unknown_key_is_a_format_error(recording_dir, tmp_path,
-                                                         capsys):
-    (tmp_path / "cfg").write_text("piecewise_force_full_iters = true\n")
-    rc = cli.main(["register", "--recording", str(recording_dir), "--out",
-                   str(tmp_path / "out"), "--config", str(tmp_path / "cfg")])
+def _refuse(*args, **kwargs):
+    raise AssertionError("nothing may be sent")
+
+
+@pytest.mark.parametrize("port", ["0", "99999", "http"])
+@pytest.mark.parametrize("route", ["register --stream", "register $VERTEREG_STREAM",
+                                   "serve --dest"])
+def test_a_stream_port_outside_1_to_65535_is_an_error(
+        tool_recording, tmp_path, capsys, monkeypatch, route, port):
+    root, _ = tool_recording
+    monkeypatch.setattr(stream, "PoseStreamer", _refuse)
+    monkeypatch.setattr(stream, "serve_packets", _refuse)
+    dest = f"127.0.0.1:{port}"
+    out = tmp_path / "out"
+    if route == "serve --dest":
+        argv = ["serve", "--recording", str(root), "--poses", str(root / "gt_poses.csv"),
+                "--dest", dest]
+    else:
+        argv = ["register", "--recording", str(root), "--out", str(out)]
+        if route == "register --stream":
+            argv += ["--stream", dest]
+        else:
+            monkeypatch.setenv(cli.STREAM_ENV, dest)
+    assert cli.main(argv) == 1
+    assert "1..65535" in _value_error(capsys)["message"]
+    assert not out.exists()
+
+
+def _add_gt_frame(rec, poses):
+    """``poses`` holding the ground truth plus a row of frame 999."""
+    rows = formats.read_poses(rec / "gt_poses.csv")
+    r = rows[0]
+    formats.write_poses(poses, rows + [formats.PoseRow(999, r.slot, True, True, r.pose)])
+
+
+def _drop_target(rec, poses):
+    """``poses`` holding the ground truth without the target vertebra's rows."""
+    target = formats.read_recording_meta(rec)["target_vertebra"]
+    rows = formats.read_poses(rec / "gt_poses.csv")
+    formats.write_poses(poses, [r for r in rows if r.slot != target])
+
+
+@pytest.mark.parametrize("make", [_add_gt_frame, _drop_target],
+                         ids=["frame the recording lacks", "no row of the target"])
+def test_evaluate_reports_a_malformed_pose_table_as_format_error(
+        recording_dir, tmp_path, capsys, make):
+    poses = tmp_path / "poses.csv"
+    make(recording_dir, poses)
+    rc = cli.main(["evaluate", "--recording", str(recording_dir), "--poses", str(poses),
+                   "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "unknown configuration key" in _format_error(capsys)["message"]
+    assert _format_error(capsys)["file"] == str(poses)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["4", "0", "-3"])
+def test_simulate_rejects_a_mask_kernel_that_is_not_a_positive_odd_integer(
+        tmp_path, capsys, k):
+    out = tmp_path / "rec"
+    rc = cli.main(["simulate", "--frames", "2", "--mask-smooth-k", k, "--out", str(out)])
+    assert rc == 1
+    assert "positive odd integer" in _value_error(capsys)["message"]
+    assert not (out / "recording.json").exists()

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vertereg import cli, formats, register, sim, track
+from vertereg import formats, register, sim, track
 from vertereg.cloud import CameraIntrinsics
 from vertereg.geom import RigidTransform
 
@@ -164,9 +164,6 @@ READERS = {
     "orientations": (formats.read_orientations, _written(
         lambda p: p.write_text("frame,qw,qx,qy,qz\n1,1.0,0.0,0.0,0.0\n"
                                "2,0.5,0.5,-0.5,0.5\n"))),
-    "config": (lambda p: formats.parse_config(p, cli._REG_KEYS), _written(
-        lambda p: p.write_text("# tuned\ngeneral_max_iters = 40\n"
-                               "update_gate = 0.85\nmode = Full\n"))),
     "recording.json": (_read_meta, _written(lambda p: formats.write_json(p, {
         "fps": 30.0, "frames": 2, "seed": 0, "tilt_deg": 0.0, "target_vertebra": 3,
         "target_screw": 0, "intrinsics": formats._intrinsics_doc(_INTRINSICS),

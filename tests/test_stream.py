@@ -34,3 +34,18 @@ def test_decode_rejects_a_wrong_length_or_magic():
         stream.decode_packet(b"XRP1" + packet[4:])
     with pytest.raises(ValueError, match="slots"):
         stream.encode_packet(1, 0, [stream.PoseSlot.empty()])
+
+
+def test_interval_jitter_of_exact_pacing_is_zero():
+    assert stream.interval_jitter([k * 0.25 for k in range(9)], 4.0) == 0.0
+
+
+def test_interval_jitter_is_the_mean_deviation_over_the_period():
+    # intervals 0.3, 0.2 and 0.25 s at 4 fps deviate by 0.05, 0.05 and 0
+    got = stream.interval_jitter([0.0, 0.3, 0.5, 0.75], 4.0)
+    assert got == pytest.approx((0.05 + 0.05 + 0.0) / 3 / 0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("stamps", [[], [12.5]])
+def test_interval_jitter_of_fewer_than_two_stamps_is_zero(stamps):
+    assert stream.interval_jitter(stamps, 30.0) == 0.0

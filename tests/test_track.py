@@ -35,21 +35,20 @@ def test_noiseless_corners_recover_the_sleeve_pose(coarse_scene):
 class _ScalarFilterReference:
     """One scalar constant-acceleration filter, the form PoseKalman merges."""
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+    def __init__(self):
         self.x = None
         self.p = None
 
     def step(self, z, dt):
         if self.x is None:
             self.x = np.array([z, 0.0, 0.0])
-            self.p = np.diag([self.cfg.sigma_m ** 2, 1e2, 1e2])
+            self.p = np.diag([track.SIGMA_M ** 2, 1e2, 1e2])
             return z
         f = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
         g = np.array([0.5 * dt * dt, dt, 1.0])
         x = f @ self.x
-        p = f @ self.p @ f.T + self.cfg.sigma_a ** 2 * np.outer(g, g)
-        k = p[:, 0] / (p[0, 0] + self.cfg.sigma_m ** 2)
+        p = f @ self.p @ f.T + track.SIGMA_A ** 2 * np.outer(g, g)
+        k = p[:, 0] / (p[0, 0] + track.SIGMA_M ** 2)
         self.x = x + k * (z - x[0])
         p = p - np.outer(k, p[0, :])
         self.p = 0.5 * (p + p.T)
@@ -58,9 +57,8 @@ class _ScalarFilterReference:
 
 def test_kalman_matches_seven_independent_scalar_filters():
     rng = np.random.default_rng(18)
-    cfg = track.KalmanConfig(sigma_a=3.0, sigma_m=0.7)
-    kalman = track.PoseKalman(cfg)
-    filters = [_ScalarFilterReference(cfg) for _ in range(7)]
+    kalman = track.PoseKalman()
+    filters = [_ScalarFilterReference() for _ in range(7)]
     last_q = None
     q0 = axis_angle_quat(np.array([0.3, 1.0, -0.2]), 0.4)
     for i in range(80):
