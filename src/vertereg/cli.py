@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: ``simulate`` writes a synthetic
-recording, ``register`` runs the registration loop over one, ``track``
-turns stereo corner observations into smoothed drill poses, ``evaluate``
-scores estimated poses against ground truth, ``ablate`` compares the four
-pipeline variants, and ``serve`` replays poses as UDP telemetry.
+recording, ``register`` runs the Full pipeline over one, ``track`` turns
+stereo corner observations into smoothed drill poses, ``evaluate`` scores
+estimated poses against ground truth, ``ablate`` compares the four
+pipeline variants (General, Refinement, First-60 and Full, all derived
+from one Full pass), and ``serve`` replays poses as UDP telemetry.
 
 The commands run the paper's one parameter set: ``register`` and
 ``ablate`` use ``RegistrationConfig()`` and ``track`` uses ``PoseKalman()``.
@@ -39,7 +40,8 @@ import numpy as np
 from . import formats, metrics, sim, stream
 from .formats import FormatError, PoseRow
 from .geom import RigidTransform, quat_to_matrix
-from .register import ABLATION_MODES, RegistrationConfig, run_recording
+from .metrics import ABLATION_MODES
+from .register import RegistrationConfig, run_recording
 from .track import InsufficientMarkersError, PoseKalman, track_pose
 
 STREAM_ENV = "VERTEREG_STREAM"
@@ -119,7 +121,10 @@ def _parse_perturb(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"perturbation needs DEG:MM:SEED, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    deg, mm = float(parts[0]), float(parts[1])
+    if not (0.0 <= deg < math.inf and 0.0 <= mm < math.inf):
+        raise ValueError(f"DEG:MM must be finite and nonnegative, got {text!r}")
+    return deg, mm, int(parts[2])
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +200,13 @@ def cmd_register(args) -> int:
     streamer = stream.PoseStreamer(*dest) if dest else None
 
     t_start = time.monotonic()
-    frames = 0
     with (streamer or contextlib.nullcontext(),
           open(out / "poses.csv", "w") as poses_out,
           open(out / "state_log.csv", "w") as log_out):
         poses_out.write(formats.POSES_HEADER + "\n")
         log_out.write("frame,vertebra,inliers,baseline,updated,frozen\n")
         for state in run_recording(rec, rec.models, sim.oracle_segmenter,
-                                   RegistrationConfig(), mode=args.mode,
+                                   RegistrationConfig(),
                                    initial_perturbation=perturbation):
             f, tracks = state.frame_index, sorted(state.vertebrae.items())
             rows = {vid: PoseRow(f, vid, True, tr.updated, tr.pose)
@@ -213,10 +217,9 @@ def cmd_register(args) -> int:
             log_out.writelines(f"{f},{vid},{tr.inliers},{tr.baseline_inliers},"
                                f"{int(tr.updated)},{int(tr.frozen)}\n"
                                for vid, tr in tracks)
-            frames += 1
     elapsed = time.monotonic() - t_start
-    print(f"registered {frames} frames in {elapsed:.2f}s "
-          f"({args.mode} mode) -> {out / 'poses.csv'}")
+    print(f"registered {rec.frame_count} frames in {elapsed:.2f}s "
+          f"-> {out / 'poses.csv'}")
     return 0
 
 
@@ -260,7 +263,6 @@ def cmd_track(args) -> int:
 def cmd_evaluate(args) -> int:
     rec = formats.LoadedRecording(args.recording)
     est = formats.poses_by_frame(formats.read_poses(args.poses))
-    include_caps = not args.lateral_only
 
     by_id = {m.id: m for m in rec.models}
     frames = sorted(est)
@@ -294,8 +296,7 @@ def cmd_evaluate(args) -> int:
             for sidx, plan in enumerate(model.screw_plans):
                 traj = metrics.trajectory_error(plan.direction, gt, row.pose)
                 entry = metrics.entry_point_error(plan.entry, gt, row.pose)
-                depth = metrics.perforation(model.pedicle_points, plan, gt,
-                                            row.pose, include_caps=include_caps)
+                depth = metrics.perforation(model.pedicle_points, plan, gt, row.pose)
                 safe = metrics.is_safe(depth)
                 key = (vid, sidx)
                 traj_series.setdefault(key, []).append(traj)
@@ -463,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="run the registration pipeline")
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=ABLATION_MODES, default="Full")
     p.add_argument("--stream", help="host:port for live pose datagrams")
     p.add_argument("--perturb-initial", metavar="DEG:MM:SEED",
                    help="corrupt the initial pose estimate (robustness testing)")
@@ -478,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True)
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lateral-only", action="store_true",
-                   help="perforation depth ignores the cylinder end caps")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="compare the four pipeline variants")

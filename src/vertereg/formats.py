@@ -288,17 +288,19 @@ def write_poses(path, rows: list[PoseRow]) -> None:
         f.writelines(map(pose_line, rows))
 
 
-def _read_rows(path, header: str, n_fields: int, parse) -> list:
+def _read_rows(path, header: str, n_fields: int, parse, key=None) -> list:
     """``parse(fields)`` of every nonblank row of a CSV file under ``header``.
 
-    A wrong header, a row with other than ``n_fields`` fields, or a
-    ValueError from ``parse`` raises FormatError at that row's byte offset.
+    A wrong header, a row with other than ``n_fields`` fields, a ValueError
+    from ``parse``, or a row whose ``key(row)`` an earlier row already had
+    raises FormatError at that row's byte offset.
     """
     lines = Path(path).read_bytes().split(b"\n")
     if lines[0].decode("ascii", errors="replace") != header:
         raise FormatError(f"bad header, expected {header!r}", path, offset=0)
     offset = len(lines[0]) + 1
     rows = []
+    seen = set()
     for line in lines[1:]:
         text = line.decode("ascii", errors="replace").strip()
         if text:
@@ -310,6 +312,11 @@ def _read_rows(path, header: str, n_fields: int, parse) -> list:
                 rows.append(parse(parts))
             except ValueError:
                 raise FormatError(f"bad value in row {text!r}", path, offset)
+            if key is not None:
+                k = key(rows[-1])
+                if k in seen:
+                    raise FormatError(f"repeated row {k} in {text!r}", path, offset)
+                seen.add(k)
         offset += len(line) + 1
     return rows
 
@@ -322,7 +329,9 @@ def _pose_row(parts: list[str]) -> PoseRow:
 
 
 def read_poses(path) -> list[PoseRow]:
-    return _read_rows(path, POSES_HEADER, 11, _pose_row)
+    """Rows of a pose table; a repeated (frame, slot) pair is a FormatError."""
+    return _read_rows(path, POSES_HEADER, 11, _pose_row,
+                      key=lambda r: (r.frame, r.slot))
 
 
 def poses_by_frame(rows: list[PoseRow]) -> dict[int, dict[int, PoseRow]]:
@@ -409,11 +418,24 @@ def _orientation_path(root: Path) -> Path:
     return root / "oracle_orientation.csv"
 
 
+def _check_target(models, target_vertebra: int, target_screw: int) -> None:
+    """ValueError unless ``models`` (ids 1, 2, ...) have the target screw."""
+    if not 1 <= target_vertebra <= len(models):
+        raise ValueError(f"target_vertebra {target_vertebra} outside "
+                         f"1..{len(models)}")
+    plans = models[target_vertebra - 1].screw_plans
+    if not 0 <= target_screw < len(plans):
+        raise ValueError(f"vertebra {target_vertebra} has {len(plans)} "
+                         f"screw plans, no target_screw {target_screw}")
+
+
 def write_recording(rec: sim.Recording, out_dir,
                     target_vertebra: int = 3, target_screw: int = 0) -> None:
     """Materialize a simulated recording: metadata, models, per-frame depth
     and oracle masks, ground-truth poses, orientation priors, and (when a
-    tool is simulated) stereo observations."""
+    tool is simulated) stereo observations; a target screw the models lack
+    is a ValueError, raised before anything is written."""
+    _check_target(rec.scene.models, target_vertebra, target_screw)
     root = Path(out_dir)
     (root / "models").mkdir(parents=True, exist_ok=True)
     (root / "frames").mkdir(exist_ok=True)
@@ -534,15 +556,10 @@ class LoadedRecording:
             if m.id != i:
                 raise FormatError(f"model id {m.id}, expected {i}",
                                   self.root / "models" / f"vert{i}.json")
-        meta_path = self.root / "recording.json"
-        if not 1 <= self.target_vertebra <= len(self.models):
-            raise FormatError(f"target_vertebra {self.target_vertebra} outside "
-                              f"1..{len(self.models)}", meta_path)
-        plans = self.models[self.target_vertebra - 1].screw_plans
-        if not 0 <= self.target_screw < len(plans):
-            raise FormatError(f"vertebra {self.target_vertebra} has {len(plans)} "
-                              f"screw plans, no target_screw {self.target_screw}",
-                              meta_path)
+        try:
+            _check_target(self.models, self.target_vertebra, self.target_screw)
+        except ValueError as e:
+            raise FormatError(str(e), self.root / "recording.json")
         self._orientations = read_orientations(_orientation_path(self.root))
         _require_frames(_orientation_path(self.root), self._orientations,
                         self.frame_count, "an orientation prior")

@@ -12,8 +12,13 @@ import math
 import numpy as np
 
 from .geom import RigidTransform, quat_to_matrix
-from .register import (UPDATE_FRAMES, RegistrationConfig, ScrewPlan,
-                       VertebraModel, general_state, run_recording)
+from .register import (RegistrationConfig, ScrewPlan, VertebraModel,
+                       run_recording)
+
+# Interaction frames that update in each ablation mode (None: every frame);
+# General also shows the en-bloc pose in place of the refinement.
+UPDATE_FRAMES = {"General": 0, "Refinement": 0, "First-60": 60, "Full": None}
+ABLATION_MODES = tuple(UPDATE_FRAMES)
 
 TRE_START_FRAME = 61
 SAFE_PERFORATION_MM = 2.0
@@ -61,15 +66,13 @@ def entry_point_error(planned_entry: np.ndarray, gt_pose: RigidTransform,
 
 
 def perforation(pedicle_points: np.ndarray, screw: ScrewPlan,
-                gt_pose: RigidTransform, est_pose: RigidTransform,
-                include_caps: bool = True) -> float | None:
+                gt_pose: RigidTransform, est_pose: RigidTransform) -> float | None:
     """Depth by which pedicle surface points intrude into the planned screw.
 
     The pedicle points follow the ground-truth pose, the screw cylinder the
     estimated pose. Points inside the finite cylinder contribute their
-    distance to the cylinder surface (end caps included unless
-    ``include_caps`` is False); returns the maximum, or None when no point
-    is inside.
+    distance to the cylinder surface, end caps included; returns the
+    maximum, or None when no point is inside.
     """
     pts = gt_pose.apply(np.asarray(pedicle_points, dtype=float).reshape(-1, 3))
     entry = est_pose.apply(screw.entry)
@@ -81,12 +84,8 @@ def perforation(pedicle_points: np.ndarray, screw: ScrewPlan,
     inside = (axial >= 0.0) & (axial <= screw.length_mm) & (radial < screw.radius_mm)
     if not inside.any():
         return None
-    lateral = screw.radius_mm - radial[inside]
-    if include_caps:
-        depth = np.minimum(lateral,
-                           np.minimum(axial[inside], screw.length_mm - axial[inside]))
-    else:
-        depth = lateral
+    depth = np.minimum(screw.radius_mm - radial[inside],
+                       np.minimum(axial[inside], screw.length_mm - axial[inside]))
     return float(depth.max())
 
 
@@ -124,24 +123,24 @@ def run_ablation(frames, models: list[VertebraModel], segmenter,
                  ) -> dict[str, dict[int, list[float]]]:
     """Per-mode, per-vertebra TRE series from one streamed pass over ``frames``.
 
-    Full runs once, and registers the initial frame once. A mode that
-    updates for the first n interaction frames (``UPDATE_FRAMES``) follows
-    Full up to interaction frame n and holds that state afterwards; General
-    holds every vertebra at Full's en-bloc pose, unrefined.
-    ``gt_lookup(vid, frame_index)`` gives the true pose.
+    Only Full runs (``run_recording``), and it registers the initial frame
+    once. A mode that updates for the first n interaction frames
+    (``UPDATE_FRAMES``) shows Full's poses up to interaction frame n and
+    holds them afterwards; General holds every vertebra at Full's en-bloc
+    pose, unrefined. ``gt_lookup(vid, frame_index)`` gives the true pose.
     """
     by_id = {m.id: m for m in models}
-    held = {}
-    series = {mode: {m.id: [] for m in models} for mode in UPDATE_FRAMES}
-    full = run_recording(frames, models, segmenter, cfg, mode="Full")
-    for interaction, state in enumerate(full):
+    held: dict[str, dict[int, RigidTransform]] = {}
+    series = {mode: {m.id: [] for m in models} for mode in ABLATION_MODES}
+    for interaction, state in enumerate(run_recording(frames, models, segmenter,
+                                                      cfg)):
+        poses = {vid: track.pose for vid, track in state.vertebrae.items()}
         if interaction == 0:
-            held["General"] = general_state(state)
+            held["General"] = dict.fromkeys(poses, state.en_bloc)
         for mode, limit in UPDATE_FRAMES.items():
             if interaction == limit:
-                held.setdefault(mode, state)
-            shown = held.get(mode, state)
-            for vid, track in shown.vertebrae.items():
+                held.setdefault(mode, poses)
+            for vid, pose in held.get(mode, poses).items():
                 gt = gt_lookup(vid, state.frame_index)
-                series[mode][vid].append(tre(gt, track.pose, by_id[vid].landmarks))
+                series[mode][vid].append(tre(gt, pose, by_id[vid].landmarks))
     return series

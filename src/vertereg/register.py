@@ -41,12 +41,6 @@ from .cloud import (NearestNeighborIndex, centroid, depth_to_cloud,
 from .geom import (RigidTransform, pose_difference, quat_mul, quat_normalize,
                    umeyama)
 
-# Interaction frames that update in each ablation mode (None: every frame);
-# General also shows the en-bloc pose in place of the refinement
-# (``general_state``).
-UPDATE_FRAMES = {"General": 0, "Refinement": 0, "First-60": 60, "Full": None}
-ABLATION_MODES = tuple(UPDATE_FRAMES)
-
 # voxel edge of the coarse subset that en-bloc ICP matches into, mm
 COARSE_VOXEL_MM = 2.0
 
@@ -176,14 +170,6 @@ class RegistrationState:
     vertebrae: dict[int, VertebraTrack]
     frame_index: int
     en_bloc: RigidTransform    # general-alignment pose of the initial frame
-
-
-def general_state(state: RegistrationState) -> RegistrationState:
-    """The initial ``state`` as the General mode shows it: every vertebra
-    at the en-bloc pose, unrefined."""
-    return RegistrationState({vid: VertebraTrack(state.en_bloc, 0, True, False)
-                              for vid in state.vertebrae},
-                             state.frame_index, state.en_bloc)
 
 
 def _gated_pairs(index: NearestNeighborIndex, pose: RigidTransform,
@@ -339,39 +325,19 @@ def process_interaction_frame(state: RegistrationState, frame,
     return RegistrationState(vertebrae, frame.index, state.en_bloc)
 
 
-def _hold(state: RegistrationState, frame_index: int) -> RegistrationState:
-    vertebrae = {vid: replace(tr, updated=False, inliers=0)
-                 for vid, tr in state.vertebrae.items()}
-    return RegistrationState(vertebrae, frame_index, state.en_bloc)
-
-
 def run_recording(frames, models: list[VertebraModel], segmenter,
-                  cfg: RegistrationConfig, mode: str = "Full",
+                  cfg: RegistrationConfig,
                   initial_perturbation: RigidTransform | None = None
                   ) -> Iterator[RegistrationState]:
-    """Run the pipeline over a frame sequence in one of the ablation modes.
+    """Run the Full pipeline over a frame sequence, one state per frame.
 
-    A generator: it yields one state per frame as soon as that frame is
-    registered, and reads the next frame only when asked for the next
-    state. ``UPDATE_FRAMES`` holds the modes: ``General`` shows the
-    en-bloc pose (``general_state``) and never updates, ``Refinement``
-    shows the per-vertebra refinement but never updates, ``First-60``
-    updates for the first 60 interaction frames only, and ``Full`` updates
-    throughout. A frame that does not update holds the previous poses.
+    A generator: it yields each frame's state as soon as that frame is
+    registered and reads the next frame only when asked for the next state.
     """
-    if mode not in ABLATION_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {ABLATION_MODES}")
-    limit = UPDATE_FRAMES[mode]
     it = iter(frames)
-    first = next(it)
-    state = register_initial_frame(first, models, segmenter, cfg,
+    state = register_initial_frame(next(it), models, segmenter, cfg,
                                    initial_perturbation=initial_perturbation)
-    if mode == "General":
-        state = general_state(state)
     yield state
-    for interaction, frame in enumerate(it, start=1):
-        if limit is None or interaction <= limit:
-            state = process_interaction_frame(state, frame, models, segmenter, cfg)
-        else:
-            state = _hold(state, frame.index)
+    for frame in it:
+        state = process_interaction_frame(state, frame, models, segmenter, cfg)
         yield state

@@ -34,7 +34,7 @@ def bake_selfconsistent_models(scene, seed=0):
     owner = np.concatenate([np.full(m.points.shape[0], m.id)
                             for m in scene.models])
     depth = maskgen.render_depth(posed, intr)
-    pts = cloud.depth_to_cloud(depth, intr)
+    pts = cloud.depth_to_cloud(depth, intr, depth > 0)
     # assign each cloud point to the vertebra that produced its pixel
     idx = cloud.NearestNeighborIndex(posed).query(pts, np.inf)[1]
     inv = base.inverse()

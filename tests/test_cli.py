@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 
 from vertereg import cli, formats, sim, stream
 from vertereg.geom import RigidTransform
-from vertereg.register import ABLATION_MODES, RegistrationConfig
+from vertereg.register import RegistrationConfig
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +344,15 @@ def _drop_rows(name, *leading):
     return apply
 
 
+def _repeat_first_row(name):
+    """Append a copy of the first row of a CSV file."""
+    def apply(rec):
+        path = rec / name
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[1] + "\n")
+    return apply
+
+
 def _write_mask(frame, shape):
     def apply(rec):
         formats.write_mask(rec / "frames" / f"f{frame:06d}.msk", np.ones(shape, bool))
@@ -382,6 +392,8 @@ RECORDING_ERRORS = {
                                    "gt_poses.csv"),
     "ground-truth vertebra missing": (_drop_rows("gt_poses.csv", "3", "2"),
                                       "ablate", "gt_poses.csv"),
+    "ground-truth row repeated": (_repeat_first_row("gt_poses.csv"), "evaluate",
+                                  "gt_poses.csv"),
     "frame count overflows": (_set_json("frames", "1e400"), "register",
                               "recording.json"),
     "zero frames": (_set_json("frames", "0"), "register", "recording.json"),
@@ -416,31 +428,6 @@ def test_malformed_recording_is_a_format_error_naming_the_file(
     assert _format_error(capsys)["file"] == str(rec / name)
 
 
-def _screw_perforations(out):
-    lines = (out / "screw_metrics.csv").read_text().splitlines()[1:]
-    return [line.split(",")[5] for line in lines]
-
-
-def test_lateral_only_perforation_is_never_below_the_capped_depth(
-        recording_dir, tmp_path):
-    # every estimate 10 mm off along x and z pushes the screws into the pedicles
-    rows = formats.read_poses(recording_dir / "gt_poses.csv")
-    shifted = [formats.PoseRow(r.frame, r.slot, True, True,
-                               RigidTransform(r.pose.q, r.pose.t + [10.0, 0.0, 10.0]))
-               for r in rows]
-    formats.write_poses(tmp_path / "poses.csv", shifted)
-    runs = {}
-    for extra in ([], ["--lateral-only"]):
-        out = tmp_path / ("lateral" if extra else "capped")
-        assert cli.main(["evaluate", "--recording", str(recording_dir), "--poses",
-                         str(tmp_path / "poses.csv"), "--out", str(out)] + extra) == 0
-        runs[bool(extra)] = _screw_perforations(out)
-    pairs = list(zip(runs[False], runs[True]))
-    assert all((capped == "") == (lateral == "") for capped, lateral in pairs)
-    deeper = [float(lateral) - float(capped) for capped, lateral in pairs if capped]
-    assert deeper and min(deeper) >= 0.0 and max(deeper) > 0.0
-
-
 class _Configured(Exception):
     """Carries the arguments a command handed to the stage under test."""
 
@@ -449,17 +436,28 @@ def _capture(*args, **kwargs):
     raise _Configured(args, kwargs)
 
 
-@pytest.mark.parametrize("flags,want", [(["--mode", m], m) for m in ABLATION_MODES]
-                         + [([], "Full")])
-def test_register_hands_its_mode_and_the_default_config_to_the_pipeline(
-        recording_dir, tmp_path, monkeypatch, flags, want):
+def test_register_hands_the_default_config_to_the_pipeline(
+        recording_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_recording", _capture)
     with pytest.raises(_Configured) as e:
         cli.main(["register", "--recording", str(recording_dir),
-                  "--out", str(tmp_path)] + flags)
+                  "--out", str(tmp_path)])
     args, kwargs = e.value.args
     assert args[3] == RegistrationConfig()
-    assert kwargs["mode"] == want
+    assert kwargs == {"initial_perturbation": None}
+
+
+@pytest.mark.parametrize("flag", ["--perturb-initial=nan:0:1",
+                                  "--perturb-initial=3:inf:1",
+                                  "--perturb-initial=-5:0:1"])
+def test_register_rejects_a_perturbation_that_is_not_finite_and_nonnegative(
+        recording_dir, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    rc = cli.main(["register", "--recording", str(recording_dir), "--out", str(out),
+                   flag])
+    assert rc == 1
+    assert "finite and nonnegative" in _value_error(capsys)["message"]
+    assert not out.exists()
 
 
 def _refuse(*args, **kwargs):
@@ -504,8 +502,15 @@ def _drop_target(rec, poses):
     formats.write_poses(poses, [r for r in rows if r.slot != target])
 
 
-@pytest.mark.parametrize("make", [_add_gt_frame, _drop_target],
-                         ids=["frame the recording lacks", "no row of the target"])
+def _repeat_gt_row(rec, poses):
+    """``poses`` holding the ground truth with its first row appended again."""
+    shutil.copy(rec / "gt_poses.csv", poses)
+    _repeat_first_row(poses.name)(poses.parent)
+
+
+@pytest.mark.parametrize("make", [_add_gt_frame, _drop_target, _repeat_gt_row],
+                         ids=["frame the recording lacks", "no row of the target",
+                              "repeated row"])
 def test_evaluate_reports_a_malformed_pose_table_as_format_error(
         recording_dir, tmp_path, capsys, make):
     poses = tmp_path / "poses.csv"
@@ -525,3 +530,38 @@ def test_simulate_rejects_a_mask_kernel_that_is_not_a_positive_odd_integer(
     assert rc == 1
     assert "positive odd integer" in _value_error(capsys)["message"]
     assert not (out / "recording.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--target-vertebra", "9"], ["--target-screw", "7"]],
+                         ids=["vertebra 9", "screw 7"])
+def test_simulate_rejects_a_target_the_scene_does_not_have(tmp_path, capsys, flags):
+    out = tmp_path / "rec"
+    rc = cli.main(["simulate", "--frames", "2", "--out", str(out)] + flags)
+    assert rc == 1
+    assert "target" in _value_error(capsys)["message"]
+    assert not (out / "recording.json").exists()
+
+
+# every subcommand's options; adding or removing one is an edit here
+CLI_OPTIONS = {
+    "simulate": ["--out", "--seed", "--frames", "--fps", "--noise-sigma", "--dropout",
+                 "--orientation-error-deg", "--tilt-deg", "--scale", "--spacing",
+                 "--mask-smooth-k", "--motion", "--deform", "--occluder", "--tool",
+                 "--tool-noise-px", "--target-vertebra", "--target-screw"],
+    "register": ["--recording", "--out", "--stream", "--perturb-initial"],
+    "track": ["--recording", "--out"],
+    "evaluate": ["--recording", "--poses", "--out"],
+    "ablate": ["--recording", "--out"],
+    "serve": ["--recording", "--poses", "--drill-poses", "--dest", "--fps", "--count",
+              "--timing-log"],
+}
+
+
+def test_the_cli_has_exactly_the_listed_options():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for a in p._actions for s in a.option_strings
+                  if s.startswith("--") and s != "--help"]
+           for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
+    assert sum(map(len, got.values())) == 36

@@ -36,12 +36,9 @@ class TestIntrinsics:
         np.testing.assert_allclose(np.column_stack([u, v]), px, rtol=0, atol=1e-9)
 
 
-def _depth_to_cloud_2d(depth, intr, mask=None):
+def _depth_to_cloud_2d(depth, intr, mask):
     """The 2-D np.nonzero back-projection that depth_to_cloud replaced."""
-    valid = depth > 0
-    if mask is not None:
-        valid &= mask
-    v, u = np.nonzero(valid)
+    v, u = np.nonzero((depth > 0) & mask)
     d = depth[v, u]
     return np.column_stack([d * (u - intr.cx) / intr.fx,
                             d * (v - intr.cy) / intr.fy, d])
@@ -51,7 +48,7 @@ class TestDepthToCloud:
     def test_principal_ray(self):
         depth = np.zeros((96, 128))
         depth[48, 64] = 500.0
-        pts = cloud.depth_to_cloud(depth, INTR)
+        pts = cloud.depth_to_cloud(depth, INTR, depth > 0)
         np.testing.assert_allclose(pts, [[0.0, 0.0, 500.0]])
 
     def test_all_false_mask(self):
@@ -61,7 +58,7 @@ class TestDepthToCloud:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cloud.depth_to_cloud(np.zeros((10, 10)), INTR)
+            cloud.depth_to_cloud(np.zeros((10, 10)), INTR, np.ones((10, 10), bool))
         with pytest.raises(ValueError):
             cloud.depth_to_cloud(np.zeros((96, 128)), INTR, np.zeros((5, 5), bool))
 
@@ -69,7 +66,7 @@ class TestDepthToCloud:
         rng = np.random.default_rng(0)
         depth = rng.uniform(100, 800, (96, 128))
         depth[rng.random((96, 128)) < 0.4] = 0.0
-        pts = cloud.depth_to_cloud(depth, INTR)
+        pts = cloud.depth_to_cloud(depth, INTR, np.ones((96, 128), bool))
         assert pts.shape[0] == int((depth > 0).sum())
 
     def test_flat_indices_give_the_bytes_of_the_2d_formula(self):
@@ -77,7 +74,7 @@ class TestDepthToCloud:
         depth = rng.uniform(100, 800, (96, 128))
         depth[rng.random((96, 128)) < 0.3] = 0.0
         masks = [rng.random((96, 128)) < 0.5, np.zeros((96, 128), bool),
-                 np.ones((96, 128), bool), None]
+                 np.ones((96, 128), bool), depth > 0]
         for mask in masks:
             want = _depth_to_cloud_2d(depth, INTR, mask)
             got = cloud.depth_to_cloud(depth, INTR, mask)
@@ -91,7 +88,7 @@ class TestDepthToCloud:
         depth = big[::2, 1::2]
         assert not depth.flags.c_contiguous
         mask = rng.random((96, 128)) < 0.5
-        for m in (mask, None):
+        for m in (mask, depth > 0):
             got = cloud.depth_to_cloud(depth, INTR, m)
             assert got.tobytes() == _depth_to_cloud_2d(depth, INTR, m).tobytes()
 
@@ -106,7 +103,7 @@ class TestDepthToCloud:
         pts = np.column_stack([z * (u - INTR.cx) / INTR.fx,
                                z * (v - INTR.cy) / INTR.fy, z])[keep]
         depth = maskgen.render_depth(pts, INTR)
-        back = cloud.depth_to_cloud(depth, INTR)
+        back = cloud.depth_to_cloud(depth, INTR, depth > 0)
         assert back.shape == pts[np.lexsort((pts[:, 0], pts[:, 1]))].shape
         # exact grid placement: back-projection is lossless here
         a = pts[np.lexsort((u[keep], v[keep]))]
@@ -119,7 +116,7 @@ class TestDepthToCloud:
                                rng.uniform(-20, 20, 300),
                                rng.uniform(450, 550, 300)])
         depth = maskgen.render_depth(pts, INTR)
-        back = cloud.depth_to_cloud(depth, INTR)
+        back = cloud.depth_to_cloud(depth, INTR, depth > 0)
         # every reconstructed point lies within half a pixel footprint of a true point
         _, _, dist = cloud.NearestNeighborIndex(pts).query(back, np.inf)
         footprint = 550.0 / INTR.fx

@@ -218,3 +218,18 @@ def test_any_single_byte_change_either_parses_or_is_a_format_error(tmp_path, rea
     path = tmp_path / "fuzzed"
     path.write_bytes(valid[:pos] + bytes([value]) + valid[pos + 1:])
     _parses_or_format_error(read, path)
+
+
+def test_a_repeated_frame_and_slot_is_a_format_error_at_its_row(tmp_path):
+    # a frame or a slot may repeat on its own, the pair may not
+    path = tmp_path / "poses.csv"
+    keys = [(1, 2), (1, 6), (2, 2)]
+    formats.write_poses(path, [formats.PoseRow(f, s, True, True, _POSE)
+                               for f, s in keys])
+    assert len(formats.read_poses(path)) == 3
+    offset = path.stat().st_size
+    with open(path, "a") as f:
+        f.write(formats.pose_line(formats.PoseRow(1, 6, False, False, _POSE)))
+    with pytest.raises(formats.FormatError, match="repeated") as e:
+        formats.read_poses(path)
+    assert (e.value.path, e.value.offset) == (str(path), offset)

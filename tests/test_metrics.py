@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vertereg import metrics, register, sim
-from vertereg.geom import RigidTransform
+from vertereg.geom import RigidTransform, axis_angle_quat
 
 
 @pytest.fixture(scope="module")
@@ -14,14 +14,29 @@ def drifting_recording(coarse_scene):
 
 
 def reference_series(rec, models, cfg, mode):
-    """The ablation's definition: TRE of every state of ``mode``'s own run."""
+    """The ablation's definition, from ``mode``'s own run: TRE of the poses
+    it shows on each frame. The mode updates on its first
+    ``UPDATE_FRAMES[mode]`` interaction frames (on all when None) and holds
+    the poses after the last of them; General shows the en-bloc pose."""
+    limit = metrics.UPDATE_FRAMES[mode]
     by_id = {m.id: m for m in models}
     series = {m.id: [] for m in models}
-    for state in register.run_recording(rec, models, sim.oracle_segmenter, cfg,
-                                        mode=mode):
+
+    def show(frame_index, state):
         for vid, track in state.vertebrae.items():
-            gt = rec.gt_pose(vid, state.frame_index)
-            series[vid].append(metrics.tre(gt, track.pose, by_id[vid].landmarks))
+            pose = state.en_bloc if mode == "General" else track.pose
+            gt = rec.gt_pose(vid, frame_index)
+            series[vid].append(metrics.tre(gt, pose, by_id[vid].landmarks))
+
+    frames = iter(rec)
+    first = next(frames)
+    state = register.register_initial_frame(first, models, sim.oracle_segmenter, cfg)
+    show(first.index, state)
+    for interaction, frame in enumerate(frames, start=1):
+        if limit is None or interaction <= limit:
+            state = register.process_interaction_frame(state, frame, models,
+                                                       sim.oracle_segmenter, cfg)
+        show(frame.index, state)
     return series
 
 
@@ -30,8 +45,8 @@ def test_single_pass_ablation_equals_per_mode_runs(drifting_recording, coarse_sc
     models = coarse_scene.models
     got = metrics.run_ablation(drifting_recording, models, sim.oracle_segmenter,
                                default_cfg, drifting_recording.gt_pose)
-    assert list(got) == list(register.ABLATION_MODES)
-    for mode in register.ABLATION_MODES:
+    assert list(got) == list(metrics.ABLATION_MODES)
+    for mode in metrics.ABLATION_MODES:
         assert got[mode] == reference_series(drifting_recording, models,
                                              default_cfg, mode), mode
     assert got["First-60"] != got["Full"]
@@ -72,13 +87,53 @@ def test_viewpoint_at_exactly_the_limit_is_not_acceptable():
     assert not metrics.viewpoint_acceptable(metrics.MAX_VIEWPOINT_ANGLE_DEG)
 
 
-def test_lateral_perforation_ignores_a_nearby_end_cap():
+def test_perforation_depth_counts_a_nearby_end_cap():
     plan = register.ScrewPlan(entry=[0.0, 0.0, 0.0], direction=[0.0, 0.0, 1.0],
                               radius_mm=3.0, length_mm=40.0)
-    # 2.5 mm in from the wall, 0.2 mm in from the entry cap
-    point = np.array([[0.5, 0.0, 0.2]])
     pose = RigidTransform.identity()
-    capped = metrics.perforation(point, plan, pose, pose)
-    lateral = metrics.perforation(point, plan, pose, pose, include_caps=False)
-    assert capped == pytest.approx(0.2, abs=1e-12)
-    assert lateral == pytest.approx(2.5, abs=1e-12)
+    # 2.5 mm in from the wall and 0.2 mm in from the entry cap, then 0.3 mm
+    # in from the far cap
+    for point, want in [([0.5, 0.0, 0.2], 0.2), ([0.5, 0.0, 39.7], 0.3)]:
+        got = metrics.perforation(np.array([point]), plan, pose, pose)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def gt_pose():
+    return RigidTransform(axis_angle_quat(np.array([2.0, -1.0, 2.0]) / 3.0, 0.7),
+                          np.array([10.0, -20.0, 350.0]))
+
+
+def test_a_pure_translation_gives_its_length_as_every_error(gt_pose):
+    landmarks = np.array([[0.0, 0.0, 0.0], [30.0, -5.0, 2.0], [-7.0, 12.0, 40.0]])
+    shift = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.array([3.0, 4.0, 12.0]))
+    est = shift.compose(gt_pose)
+    assert metrics.tre(gt_pose, est, landmarks) == pytest.approx(13.0, abs=1e-9)
+    assert metrics.entry_point_error(landmarks[1], gt_pose, est) == pytest.approx(
+        13.0, abs=1e-9)
+    assert metrics.trajectory_error(np.array([0.0, 1.0, 1.0]), gt_pose, est) == (
+        pytest.approx(0.0, abs=1e-5))
+
+
+@pytest.mark.parametrize("angle_deg", [5.0, 40.0])
+def test_a_turn_about_the_screw_axis_moves_neither_trajectory_nor_entry(
+        gt_pose, angle_deg):
+    entry, direction = np.array([12.0, -3.0, 8.0]), np.array([0.0, 0.6, 0.8])
+    # about the axis through the entry point, in the model frame
+    to_entry = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), entry)
+    turn = RigidTransform(axis_angle_quat(direction, np.radians(angle_deg)), np.zeros(3))
+    est = gt_pose.compose(to_entry).compose(turn).compose(to_entry.inverse())
+    assert metrics.trajectory_error(direction, gt_pose, est) == pytest.approx(
+        0.0, abs=1e-5)
+    assert metrics.entry_point_error(entry, gt_pose, est) == pytest.approx(
+        0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("angle_deg", [5.0, 40.0])
+def test_a_turn_across_the_screw_axis_tilts_the_trajectory_by_its_angle(
+        gt_pose, angle_deg):
+    direction, across = np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
+    est = gt_pose.compose(RigidTransform(
+        axis_angle_quat(across, np.radians(angle_deg)), np.zeros(3)))
+    assert metrics.trajectory_error(direction, gt_pose, est) == pytest.approx(
+        angle_deg, abs=1e-9)

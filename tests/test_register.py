@@ -5,7 +5,7 @@ import pytest
 
 from conftest import StaticFrames, bake_selfconsistent_models, random_unit_quat
 from vertereg import cloud, metrics, register, sim
-from vertereg.geom import RigidTransform, axis_angle_quat
+from vertereg.geom import RigidTransform, axis_angle_quat, pose_difference
 
 
 def test_run_recording_yields_first_state_before_reading_frame_two(coarse_scene,
@@ -26,12 +26,6 @@ def test_run_recording_yields_first_state_before_reading_frame_two(coarse_scene,
     assert read == [1]
     assert [s.frame_index for s in states] == [2, 3]
     assert read == [1, 2, 3]
-
-
-def test_run_recording_rejects_unknown_mode(coarse_scene, default_cfg):
-    with pytest.raises(ValueError, match="unknown mode"):
-        next(register.run_recording([], coarse_scene.models, sim.oracle_segmenter,
-                                    default_cfg, mode="Partial"))
 
 
 def test_pairs_reported_at_exactly_the_gate_are_not_inliers():
@@ -238,19 +232,27 @@ def test_coarse_points_are_the_first_registration_point_per_2mm_voxel(coarse_sce
 
 
 def test_initial_state_keeps_the_en_bloc_pose_it_refined_from(
-        initial_frame, coarse_scene, default_cfg):
-    refined = register.register_initial_frame(initial_frame, coarse_scene.models,
-                                              sim.oracle_segmenter, default_cfg)
-    general = register.general_state(refined)
+        monkeypatch, initial_frame, coarse_scene, default_cfg):
+    starts = []
+    piecewise = register.piecewise_refine
+
+    def spy_piecewise(model, t_gen, scene, cfg):
+        starts.append(t_gen)
+        return piecewise(model, t_gen, scene, cfg)
 
     def bits(pose):
         return pose.q.tobytes(), pose.t.tobytes()
 
-    assert bits(general.en_bloc) == bits(refined.en_bloc)
-    assert list(general.vertebrae) == list(refined.vertebrae)
-    for track in general.vertebrae.values():
-        assert bits(track.pose) == bits(refined.en_bloc)
-        assert (track.baseline_inliers, track.updated, track.frozen) == (0, True, False)
+    monkeypatch.setattr(register, "piecewise_refine", spy_piecewise)
+    models = coarse_scene.models
+    refined = register.register_initial_frame(initial_frame, models,
+                                              sim.oracle_segmenter, default_cfg)
+    assert [bits(t) for t in starts] == [bits(refined.en_bloc)] * len(models)
+    assert all(bits(track.pose) != bits(refined.en_bloc)
+               for track in refined.vertebrae.values())
+    later = register.process_interaction_frame(refined, initial_frame, models,
+                                               sim.oracle_segmenter, default_cfg)
+    assert bits(later.en_bloc) == bits(refined.en_bloc)
 
 
 def test_en_bloc_matches_the_coarse_scene_and_refinement_the_full_cloud(
@@ -289,3 +291,69 @@ def test_prior_off_by_10_degrees_and_10_mm_still_registers(
     tre = [metrics.tre(initial_frame.gt_poses[m.id], state.vertebrae[m.id].pose,
                        m.landmarks) for m in coarse_scene.models]
     assert np.mean(tre) < 1.0
+
+
+def _close(a, b, atol):
+    """Poses ``a`` and ``b`` within ``atol`` (rad, mm) of each other."""
+    angle, dist = pose_difference(a, b)
+    return angle < atol and dist < atol
+
+
+@pytest.fixture(scope="module")
+def posed_vertebra(coarse_scene):
+    """A model, its true pose, a noisy scene of it and a start 1 mm and
+    1 degree off the truth, turned about the vertebra's own centre."""
+    rng = np.random.default_rng(21)
+    model = coarse_scene.models[2]
+    truth = RigidTransform(random_unit_quat(rng), np.array([5.0, -10.0, 400.0]))
+    scene = truth.apply(model.reg_points) + rng.normal(0.0, 0.2,
+                                                      model.reg_points.shape)
+    centre = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]),
+                            model.reg_points.mean(axis=0))
+    off = sim.perturbation(rng, np.radians(1.0), 1.0)
+    start = truth.compose(centre).compose(off).compose(centre.inverse())
+    return model, truth, scene, start
+
+
+def test_refinement_from_near_the_truth_converges_to_it(posed_vertebra, default_cfg):
+    model, truth, scene, start = posed_vertebra
+    assert not _close(start, truth, 0.01)
+    pose, count = register.piecewise_refine(model, start, scene, default_cfg)
+    assert _close(pose, truth, 0.05)
+    assert count == scene.shape[0]
+    track = register.VertebraTrack(start, 0, True, False)
+    stepped = register.update_pose(track, model, scene, default_cfg)
+    assert stepped.updated
+    assert sum(pose_difference(stepped.pose, truth)) < sum(pose_difference(start, truth))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_refinement_and_update_move_with_the_scene(posed_vertebra, default_cfg, seed):
+    # moving the scene and the start pose by T moves the result by T
+    model, _, scene, start = posed_vertebra
+    rng = np.random.default_rng(seed)
+    move = RigidTransform(random_unit_quat(rng), rng.normal(0.0, 100.0, 3))
+    pose, count = register.piecewise_refine(model, start, scene, default_cfg)
+    moved_pose, moved_count = register.piecewise_refine(
+        model, move.compose(start), move.apply(scene), default_cfg)
+    assert moved_count == count
+    assert _close(moved_pose, move.compose(pose), 1e-6)
+
+    track = register.VertebraTrack(start, 0, True, False)
+    stepped = register.update_pose(track, model, scene, default_cfg)
+    moved = register.update_pose(replace(track, pose=move.compose(start)), model,
+                                 move.apply(scene), default_cfg)
+    assert stepped.updated
+    assert (moved.inliers, moved.updated) == (stepped.inliers, stepped.updated)
+    assert _close(moved.pose, move.compose(stepped.pose), 1e-6)
+
+
+def test_refinement_does_not_depend_on_the_order_of_the_scene(posed_vertebra,
+                                                              default_cfg):
+    model, _, scene, start = posed_vertebra
+    order = np.random.default_rng(4).permutation(scene.shape[0])
+    pose, count = register.piecewise_refine(model, start, scene, default_cfg)
+    shuffled, shuffled_count = register.piecewise_refine(model, start, scene[order],
+                                                         default_cfg)
+    assert shuffled_count == count
+    assert _close(shuffled, pose, 1e-9)
