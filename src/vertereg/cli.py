@@ -8,7 +8,10 @@ pipeline variants (General, Refinement, First-60 and Full, all derived
 from one Full pass), and ``serve`` replays poses as UDP telemetry.
 
 The commands run the paper's one parameter set: ``register`` and
-``ablate`` use ``RegistrationConfig()`` and ``track`` uses ``PoseKalman()``.
+``ablate`` use ``RegistrationConfig()``, ``track`` ``PoseKalman()``,
+``simulate`` one scene geometry per seed and one oracle mask rule, and
+``evaluate`` the target screw ``metrics.TARGET_SCREW`` of vertebra
+``metrics.TARGET_VERTEBRA``.
 Library callers vary the method through ``RegistrationConfig``. Only the
 telemetry destination is set per deployment, by ``--stream`` / ``--dest``
 or ``$VERTEREG_STREAM``.
@@ -162,13 +165,10 @@ def cmd_simulate(args) -> int:
         motions=motion_specs,
         tilt_deg=args.tilt_deg,
         orientation_error_deg=args.orientation_error_deg,
-        mask_smooth_k=args.mask_smooth_k,
         tool=tool,
     )
-    scene = sim.make_scene(seed=args.seed, scale=args.scale, spacing=args.spacing)
-    rec = sim.render_recording(scene, spec, seed=args.seed)
-    formats.write_recording(rec, args.out, target_vertebra=args.target_vertebra,
-                            target_screw=args.target_screw)
+    rec = sim.render_recording(sim.make_scene(seed=args.seed), spec, seed=args.seed)
+    formats.write_recording(rec, args.out)
     print(f"wrote {args.frames} frames to {args.out}")
     return 0
 
@@ -262,9 +262,13 @@ def cmd_track(args) -> int:
 
 def cmd_evaluate(args) -> int:
     rec = formats.LoadedRecording(args.recording)
+    target_vid, target_screw = metrics.TARGET_VERTEBRA, metrics.TARGET_SCREW
+    by_id = {m.id: m for m in rec.models}
+    if len(by_id[target_vid].screw_plans) <= target_screw:
+        raise FormatError(f"vertebra {target_vid} has no screw plan {target_screw}",
+                          rec.root / "models" / f"vert{target_vid}.json")
     est = formats.poses_by_frame(formats.read_poses(args.poses))
 
-    by_id = {m.id: m for m in rec.models}
     frames = sorted(est)
     for f in frames:
         if not 1 <= f <= rec.frame_count:
@@ -291,7 +295,7 @@ def cmd_evaluate(args) -> int:
             t = metrics.tre(gt, row.pose, model.landmarks)
             tre_series[vid].append(t)
             frame_lines.append(f"{f},{vid},1,{int(row.updated)},{t!r}")
-            if vid == rec.target_vertebra and f > 1 and row.updated:
+            if vid == target_vid and f > 1 and row.updated:
                 updated_count += 1
             for sidx, plan in enumerate(model.screw_plans):
                 traj = metrics.trajectory_error(plan.direction, gt, row.pose)
@@ -306,9 +310,9 @@ def cmd_evaluate(args) -> int:
                 screw_lines.append(f"{f},{vid},{sidx},{traj!r},{entry!r},"
                                    f"{depth_txt},{int(safe)}")
 
-    target_key = (rec.target_vertebra, rec.target_screw)
+    target_key = (target_vid, target_screw)
     if target_key not in perf_series:
-        raise FormatError(f"no valid row of target vertebra {rec.target_vertebra}",
+        raise FormatError(f"no valid row of target vertebra {target_vid}",
                           args.poses)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -316,7 +320,7 @@ def cmd_evaluate(args) -> int:
     (out / "screw_metrics.csv").write_text("\n".join(screw_lines) + "\n")
 
     success = metrics.success_rate(perf_series[target_key])
-    gt1 = rec.gt_pose(rec.target_vertebra, frames[0])
+    gt1 = rec.gt_pose(target_vid, frames[0])
     coronal_normal = quat_to_matrix(gt1.q) @ np.array([0.0, 0.0, 1.0])
     vp_angle = metrics.viewpoint_angle(np.array([0.0, 0.0, 1.0]), coronal_normal)
 
@@ -325,12 +329,12 @@ def cmd_evaluate(args) -> int:
     summary = {
         "frames": len(frames),
         "tre_start_frame": start,
-        "target_vertebra": rec.target_vertebra,
-        "target_screw": rec.target_screw,
+        "target_vertebra": target_vid,
+        "target_screw": target_screw,
         "tre_mm": {
             "per_vertebra": {str(vid): metrics.recording_tre(tre_series[vid], start)
                              for vid in sorted(tre_series) if tre_series[vid]},
-            "target": metrics.recording_tre(tre_series[rec.target_vertebra], start),
+            "target": metrics.recording_tre(tre_series[target_vid], start),
         },
         "trajectory_error_deg": {
             "target": metrics.recording_tre(traj_series[target_key], start),
@@ -445,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--orientation-error-deg", type=float, default=0.0)
     p.add_argument("--tilt-deg", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--spacing", type=float, default=0.5)
-    p.add_argument("--mask-smooth-k", type=int, default=15)
     p.add_argument("--motion", action="append",
                    help="VERT:KIND:dx,dy,dz:FREQ (VERT in 1..5 or 'all')")
     p.add_argument("--deform", action="append",
@@ -457,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tool", action="store_true",
                    help="simulate the drill sleeve and stereo observations")
     p.add_argument("--tool-noise-px", type=float, default=0.0)
-    p.add_argument("--target-vertebra", type=int, default=3)
-    p.add_argument("--target-screw", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("register", help="run the registration pipeline")

@@ -367,8 +367,10 @@ def _observation_row(parts: list[str]) -> tuple[int, MarkerObservation]:
 
 
 def read_observations(path) -> dict[int, list[MarkerObservation]]:
+    """Marker observations per frame; a repeated (frame, marker) is a FormatError."""
     out: dict[int, list[MarkerObservation]] = {}
-    for frame, obs in _read_rows(path, _OBS_HEADER, 18, _observation_row):
+    for frame, obs in _read_rows(path, _OBS_HEADER, 18, _observation_row,
+                                 key=lambda r: (r[0], r[1].marker_id)):
         out.setdefault(frame, []).append(obs)
     return out
 
@@ -418,24 +420,11 @@ def _orientation_path(root: Path) -> Path:
     return root / "oracle_orientation.csv"
 
 
-def _check_target(models, target_vertebra: int, target_screw: int) -> None:
-    """ValueError unless ``models`` (ids 1, 2, ...) have the target screw."""
-    if not 1 <= target_vertebra <= len(models):
-        raise ValueError(f"target_vertebra {target_vertebra} outside "
-                         f"1..{len(models)}")
-    plans = models[target_vertebra - 1].screw_plans
-    if not 0 <= target_screw < len(plans):
-        raise ValueError(f"vertebra {target_vertebra} has {len(plans)} "
-                         f"screw plans, no target_screw {target_screw}")
-
-
-def write_recording(rec: sim.Recording, out_dir,
-                    target_vertebra: int = 3, target_screw: int = 0) -> None:
-    """Materialize a simulated recording: metadata, models, per-frame depth
+def write_recording(rec: sim.Recording, out_dir) -> None:
+    """Materialize a simulated recording: ``recording.json`` with exactly
+    the four keys ``read_recording_meta`` reads, models, per-frame depth
     and oracle masks, ground-truth poses, orientation priors, and (when a
-    tool is simulated) stereo observations; a target screw the models lack
-    is a ValueError, raised before anything is written."""
-    _check_target(rec.scene.models, target_vertebra, target_screw)
+    tool is simulated) stereo observations."""
     root = Path(out_dir)
     (root / "models").mkdir(parents=True, exist_ok=True)
     (root / "frames").mkdir(exist_ok=True)
@@ -443,13 +432,7 @@ def write_recording(rec: sim.Recording, out_dir,
     meta = {
         "fps": rec.fps,
         "frames": rec.frame_count,
-        "seed": rec.seed,
-        "scale": rec.scene.scale,
-        "spacing": rec.scene.spacing,
-        "tilt_deg": rec.spec.tilt_deg,
         "intrinsics": _intrinsics_doc(rec.scene.intrinsics),
-        "target_vertebra": target_vertebra,
-        "target_screw": target_screw,
         "has_tool": rec.spec.tool is not None,
     }
     write_json(root / "recording.json", meta)
@@ -481,43 +464,36 @@ def write_recording(rec: sim.Recording, out_dir,
 
 
 def read_orientations(path) -> dict[int, np.ndarray]:
+    """Orientation prior per frame; a repeated frame is a FormatError."""
     return dict(_read_rows(path, _ORIENTATION_HEADER, 5, lambda parts: (
-        int(parts[0]), np.array([float(v) for v in parts[1:]]))))
+        int(parts[0]), np.array([float(v) for v in parts[1:]])),
+        key=lambda r: r[0]))
 
 
 def _meta_from(doc: dict) -> dict:
-    return {
-        "fps": float(doc["fps"]),
-        "frame_count": int(doc["frames"]),
-        "seed": int(doc["seed"]),
-        "tilt_deg": float(doc.get("tilt_deg", 0.0)),
-        "target_vertebra": int(doc.get("target_vertebra", 3)),
-        "target_screw": int(doc.get("target_screw", 0)),
-        "intrinsics": _intrinsics_from(doc["intrinsics"]),
-        "has_tool": bool(doc.get("has_tool", False)),
-    }
+    fps, frames = float(doc["fps"]), int(doc["frames"])
+    if frames < 1:
+        raise ValueError(f"{frames} frames, need at least 1")
+    if not 0.0 < fps < math.inf:
+        raise ValueError(f"fps {fps!r} is not positive and finite")
+    return {"fps": fps, "frame_count": frames,
+            "intrinsics": _intrinsics_from(doc["intrinsics"]),
+            "has_tool": bool(doc["has_tool"])}
 
 
 def read_recording_meta(root) -> dict:
     """Typed contents of a recording directory's ``recording.json``.
 
-    Returns fps, frame_count, seed, tilt_deg, target_vertebra,
-    target_screw, intrinsics and has_tool. A missing file, bytes that are
-    not UTF-8 JSON, a missing or malformed key, fewer than one frame or an
-    fps that is not positive and finite raises FormatError.
+    Returns fps, frame_count (key ``frames``), intrinsics and has_tool, all
+    required; other keys are ignored. A missing file, bytes that are not
+    UTF-8 JSON, a missing or malformed key, fewer than one frame or an fps
+    that is not positive and finite raises FormatError.
     """
     path = Path(root) / "recording.json"
     try:
-        meta = _read_json(path, _meta_from)
+        return _read_json(path, _meta_from)
     except FileNotFoundError:
         raise FormatError("recording.json missing", path)
-    if meta["frame_count"] < 1:
-        raise FormatError(f"recording.json has {meta['frame_count']} frames, "
-                          "need at least 1", path)
-    if not 0.0 < meta["fps"] < math.inf:
-        raise FormatError(f"recording.json fps {meta['fps']!r} is not positive "
-                          "and finite", path)
-    return meta
 
 
 def _require_frames(path, frames, frame_count: int, what: str) -> None:
@@ -531,11 +507,11 @@ def _require_frames(path, frames, frame_count: int, what: str) -> None:
 class LoadedRecording:
     """Disk-backed recording with the same frame interface as sim.Recording.
 
-    Loading checks that the ground truth and the orientation priors cover
-    every frame and that the target screw is one of the target vertebra's
-    plans, and ``frame`` checks that the depth map is the size the
-    intrinsics give and the mask the size of the depth map; a gap or a
-    mismatch raises FormatError naming the file.
+    Loading checks that the models are vertebrae 1-5 in order and that the
+    ground truth and the orientation priors cover every frame, and
+    ``frame`` checks that the depth map is the size the intrinsics give
+    and the mask the size of the depth map; a gap or a mismatch raises
+    FormatError naming the file.
     """
 
     def __init__(self, root):
@@ -543,10 +519,6 @@ class LoadedRecording:
         meta = read_recording_meta(self.root)
         self.fps = meta["fps"]
         self.frame_count = meta["frame_count"]
-        self.seed = meta["seed"]
-        self.tilt_deg = meta["tilt_deg"]
-        self.target_vertebra = meta["target_vertebra"]
-        self.target_screw = meta["target_screw"]
         self.intrinsics = meta["intrinsics"]
         self.has_tool = meta["has_tool"]
         self.models = [load_model(self.root / "models" / f"vert{i}.ply",
@@ -556,10 +528,6 @@ class LoadedRecording:
             if m.id != i:
                 raise FormatError(f"model id {m.id}, expected {i}",
                                   self.root / "models" / f"vert{i}.json")
-        try:
-            _check_target(self.models, self.target_vertebra, self.target_screw)
-        except ValueError as e:
-            raise FormatError(str(e), self.root / "recording.json")
         self._orientations = read_orientations(_orientation_path(self.root))
         _require_frames(_orientation_path(self.root), self._orientations,
                         self.frame_count, "an orientation prior")

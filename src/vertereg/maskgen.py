@@ -13,6 +13,9 @@ from scipy import ndimage
 
 from .cloud import CameraIntrinsics
 
+MATCH_MM = 10.0  # sensor depth within this of the render counts as anatomy
+SMOOTH_K = 15    # side of the box kernel that smooths the mask, px
+
 
 def render_depth(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     """Z-buffer point-splat render of sensor-frame points.
@@ -41,25 +44,23 @@ def render_depth(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     return depth
 
 
-def synth_mask(rendered: np.ndarray, sensor: np.ndarray,
-               thresh_mm: float = 10.0) -> np.ndarray:
-    """Pixels where both depths are valid and differ by less than thresh_mm."""
+def synth_mask(rendered: np.ndarray, sensor: np.ndarray) -> np.ndarray:
+    """Pixels where both depths are valid and differ by less than MATCH_MM."""
     rendered = np.asarray(rendered, dtype=float)
     sensor = np.asarray(sensor, dtype=float)
     if rendered.shape != sensor.shape:
         raise ValueError(f"depth shapes differ: {rendered.shape} vs {sensor.shape}")
-    return (rendered > 0) & (sensor > 0) & (np.abs(rendered - sensor) < thresh_mm)
+    return (rendered > 0) & (sensor > 0) & (np.abs(rendered - sensor) < MATCH_MM)
 
 
-def smooth_mask(mask: np.ndarray, k: int = 15) -> np.ndarray:
-    """Box-filter a binary mask with a k x k uniform kernel, threshold at 0.5.
+def smooth_mask(mask: np.ndarray) -> np.ndarray:
+    """Box-filter a binary mask with a SMOOTH_K x SMOOTH_K uniform kernel,
+    threshold at 0.5.
 
     Zero padding at the borders, so thin structures and isolated pixels
     disappear while solid regions keep their interior.
     """
-    if k % 2 == 0:
-        raise ValueError(f"kernel size must be odd, got {k}")
     mask = np.asarray(mask, dtype=bool)
-    filtered = ndimage.uniform_filter(mask.astype(float), size=k,
+    filtered = ndimage.uniform_filter(mask.astype(float), size=SMOOTH_K,
                                       mode="constant", cval=0.0)
     return filtered > 0.5

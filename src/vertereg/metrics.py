@@ -21,6 +21,9 @@ UPDATE_FRAMES = {"General": 0, "Refinement": 0, "First-60": 60, "Full": None}
 ABLATION_MODES = tuple(UPDATE_FRAMES)
 
 TRE_START_FRAME = 61
+# the screw whose success rate, trajectory and entry error a recording reports
+TARGET_VERTEBRA = 3
+TARGET_SCREW = 0
 SAFE_PERFORATION_MM = 2.0
 MAX_VIEWPOINT_ANGLE_DEG = 30.0
 

@@ -97,9 +97,6 @@ class Scene:
     models: list[VertebraModel]
     sensor_pose: RigidTransform       # sensor in the model frame
     intrinsics: CameraIntrinsics
-    seed: int
-    scale: float
-    spacing: float
 
     def base_vertebra_pose(self, tilt_deg: float = 0.0) -> RigidTransform:
         """Model-to-sensor pose shared by all vertebrae before any motion."""
@@ -112,16 +109,12 @@ class Scene:
         return sensor.inverse()
 
 
-def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5) -> Scene:
-    """Deterministic five-vertebra scene.
+def make_scene(seed: int = 0, spacing: float = 0.5) -> Scene:
+    """Deterministic five-vertebra scene, 450 mm in front of the sensor.
 
-    ``scale`` shrinks or grows the whole anatomy; ``spacing`` is the surface
-    sampling distance in mm. The per-vertebra shape jitter depends only on
-    the seed, so two scenes with the same seed and different scales are
-    exact similarity transforms of each other.
+    The per-vertebra shape jitter depends only on the seed; ``spacing`` is
+    the surface sampling distance in mm.
     """
-    if scale <= 0:
-        raise ValueError("anatomy scale must be positive")
     intr = CameraIntrinsics(fx=380.0, fy=380.0, cx=200.0, cy=150.0,
                             width=400, height=300)
     rng = np.random.default_rng([seed, 0x5CE7E])
@@ -139,10 +132,10 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5) -> Scene
         trans_len = 11.0 * jt
 
         parts = [
-            _sample_ellipsoid(c + [0.0, 0.0, -10.0], body_axes, spacing / scale),
-            _sample_ellipsoid(c + [0.0, -2.0, 18.0], [3.5, 5.0, spin_len], spacing / scale),
-            _sample_ellipsoid(c + [-19.0, 0.0, 6.0], [trans_len, 3.5, 3.5], spacing / scale),
-            _sample_ellipsoid(c + [19.0, 0.0, 6.0], [trans_len, 3.5, 3.5], spacing / scale),
+            _sample_ellipsoid(c + [0.0, 0.0, -10.0], body_axes, spacing),
+            _sample_ellipsoid(c + [0.0, -2.0, 18.0], [3.5, 5.0, spin_len], spacing),
+            _sample_ellipsoid(c + [-19.0, 0.0, 6.0], [trans_len, 3.5, 3.5], spacing),
+            _sample_ellipsoid(c + [19.0, 0.0, 6.0], [trans_len, 3.5, 3.5], spacing),
         ]
         screw_dirs = []
         entries = []
@@ -151,7 +144,7 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5) -> Scene
             entry = c + np.array([side * 9.0, 0.0, 12.0])
             direction = np.array([-side * 0.3, 0.0, -1.0])
             direction /= np.linalg.norm(direction)
-            parts.append(_sample_tube(entry, direction, 4.0, 12.0, spacing / scale))
+            parts.append(_sample_tube(entry, direction, 4.0, 12.0, spacing))
             entries.append(entry)
             screw_dirs.append(direction)
         points = np.vstack([p for p, _ in parts])
@@ -163,10 +156,8 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5) -> Scene
             c + [-19.0 - trans_len, 0.0, 6.0],     # left transverse tip
             c + [19.0 + trans_len, 0.0, 6.0],      # right transverse tip
         ])
-        models.append(dict(id=vid, points=points * scale, normals=normals,
-                           landmarks=landmarks * scale,
-                           pedicle_indices=pedicle_indices,
-                           entries=[e * scale for e in entries],
+        models.append(dict(id=vid, points=points, normals=normals, landmarks=landmarks,
+                           pedicle_indices=pedicle_indices, entries=entries,
                            dirs=screw_dirs))
 
     # posterior-visible registration subsets, then move the shared origin to
@@ -178,7 +169,7 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5) -> Scene
     final = []
     for m, sel in zip(models, reg_sets):
         plans = tuple(ScrewPlan(m["entries"][k] - origin, m["dirs"][k],
-                                radius_mm=2.5, length_mm=40.0 * scale)
+                                radius_mm=2.5, length_mm=40.0)
                       for k in range(2))
         final.append(VertebraModel(
             id=m["id"],
@@ -190,17 +181,9 @@ def make_scene(seed: int = 0, scale: float = 1.0, spacing: float = 0.5) -> Scene
             screw_plans=plans,
         ))
 
-    distance = 450.0 * scale
     sensor_rot = axis_angle_quat([1.0, 0.0, 0.0], math.pi)
-    sensor_pose = RigidTransform(sensor_rot, np.array([0.0, 0.0, distance]))
-    scene = Scene(final, sensor_pose, intr, seed, scale, spacing)
-
-    base = scene.base_vertebra_pose()
-    for m in final:
-        u, v = intr.project(*base.apply(m.points).T)
-        if u.min() < 0 or u.max() >= intr.width or v.min() < 0 or v.max() >= intr.height:
-            raise ValueError("scene does not fit the sensor field of view")
-    return scene
+    sensor_pose = RigidTransform(sensor_rot, np.array([0.0, 0.0, 450.0]))
+    return Scene(final, sensor_pose, intr)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +274,9 @@ class ToolSpec:
 
 @dataclass
 class RecordingSpec:
+    """What a recording shows. Every number in it, its motions, occluders
+    and tool must be finite and every noise value nonnegative (ValueError)."""
+
     frames: int
     fps: float = 30.0
     depth_sigma: float = 0.0          # mm
@@ -299,7 +285,6 @@ class RecordingSpec:
     motions: dict[int, MotionSpec] = field(default_factory=dict)
     tilt_deg: float = 0.0             # sensor tilt vs the coronal normal
     orientation_error_deg: float = 0.0  # median corruption of the prior
-    mask_smooth_k: int = 15
     tool: ToolSpec | None = None
 
     def __post_init__(self):
@@ -307,13 +292,23 @@ class RecordingSpec:
             raise ValueError("a recording needs at least one frame")
         if not 0.0 < self.fps < math.inf:
             raise ValueError(f"fps {self.fps!r} is not positive and finite")
-        if self.depth_sigma < 0:
-            raise ValueError("depth noise sigma must be nonnegative")
+        noise = [("depth_sigma", self.depth_sigma),
+                 ("orientation_error_deg", self.orientation_error_deg),
+                 ("tool corner_sigma_px", self.tool.corner_sigma_px if self.tool else 0.0)]
+        scalars = noise + [("dropout", self.dropout), ("tilt_deg", self.tilt_deg)]
+        for vid, m in self.motions.items():
+            scalars += [(f"motion of vertebra {vid}", x) for x in (
+                *m.vector, m.freq_hz, *m.offset_translation, *m.offset_rotvec)]
+        for k, occ in enumerate(self.occluders):
+            scalars += [(f"occluder {k}", x) for x in (*occ.center, *occ.size)]
+        for name, x in scalars:
+            if not math.isfinite(x):
+                raise ValueError(f"{name} has the value {x!r}, which is not finite")
+        for name, x in noise:
+            if x < 0:
+                raise ValueError(f"{name} {x!r} must be nonnegative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if not (self.mask_smooth_k >= 1 and self.mask_smooth_k % 2 == 1):
-            raise ValueError(f"mask_smooth_k {self.mask_smooth_k!r} is not a "
-                             f"positive odd integer")
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +399,7 @@ class Recording:
             drop = rng.random(size=valid.size) < self.spec.dropout
             np.put(sensor, valid[drop], 0.0)
 
-        mask = synth_mask(clean, sensor, 10.0)
-        if self.spec.mask_smooth_k > 1:
-            mask = smooth_mask(mask, self.spec.mask_smooth_k)
+        mask = smooth_mask(synth_mask(clean, sensor))
 
         q_p = gt[PRIOR_VERTEBRA].q.copy()
         if self.spec.orientation_error_deg > 0:

@@ -8,7 +8,7 @@ import socket
 import numpy as np
 import pytest
 
-from vertereg import cli, formats, sim, stream
+from vertereg import cli, formats, metrics, sim, stream
 from vertereg.geom import RigidTransform
 from vertereg.register import RegistrationConfig
 
@@ -196,6 +196,33 @@ def test_simulate_rejects_an_fps_that_is_not_positive_and_finite(
     assert not (out / "recording.json").exists()
 
 
+@pytest.mark.parametrize("flags, word", [
+    (["--motion", "all:sine:0,0,1:nan"], "not finite"),
+    (["--deform", "2:0,inf,0"], "not finite"),
+    (["--occluder", "70:110:0,0,nan:40,40,20"], "not finite"),
+    (["--tilt-deg", "nan"], "not finite"),
+    (["--noise-sigma", "nan"], "not finite"),
+    (["--orientation-error-deg", "nan"], "not finite"),
+    (["--tool", "--tool-noise-px", "nan"], "not finite"),
+    (["--noise-sigma", "-0.5"], "nonnegative"),
+    (["--orientation-error-deg", "-3"], "nonnegative"),
+    (["--tool", "--tool-noise-px", "-1"], "nonnegative"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_simulate_rejects_a_scenario_value_that_is_not_finite_or_a_negative_noise(
+        tmp_path, capsys, flags, word):
+    out = tmp_path / "rec"
+    rc = cli.main(["simulate", "--frames", "2", "--out", str(out)] + flags)
+    assert rc == 1
+    assert word in _value_error(capsys)["message"]
+    assert not (out / "recording.json").exists()
+
+
+def test_simulate_writes_exactly_the_keys_read_recording_meta_reads(tmp_path):
+    assert cli.main(["simulate", "--frames", "1", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "recording.json").read_text())
+    assert sorted(doc) == ["fps", "frames", "has_tool", "intrinsics"]
+
+
 @pytest.mark.parametrize("text", ['{"fps": null, "frames": 1, "seed": 0}', "[]",
                                   '{"fps": 30, "frames": 1, "seed": 0, '
                                   '"intrinsics": {"fx": 1}}'])
@@ -367,9 +394,10 @@ def _write_frame(frame, shape):
     return apply
 
 
-def _edit_stereo(change):
+def _edit_json(name, change):
+    """Apply ``change`` to the document of the JSON file ``name``."""
     def apply(rec):
-        path = rec / "stereo.json"
+        path = rec / name
         doc = json.loads(path.read_text())
         change(doc)
         path.write_text(json.dumps(doc))
@@ -378,16 +406,22 @@ def _edit_stereo(change):
 
 # malformed recordings of eight frames: case -> (change, command, file named)
 RECORDING_ERRORS = {
-    "stereo without markers": (_edit_stereo(lambda doc: doc.pop("markers")), "track",
-                               "stereo.json"),
-    "marker with two corners": (_edit_stereo(lambda doc: doc["markers"].update(
+    "stereo without markers": (_edit_json("stereo.json", lambda doc: doc.pop("markers")),
+                               "track", "stereo.json"),
+    "marker with two corners": (_edit_json("stereo.json", lambda doc: doc["markers"].update(
         {"0": [[1.0, 2.0], [3.0, 4.0]]})), "track", "stereo.json"),
-    "target screw past the plans": (_set_json("target_screw", "5"), "evaluate",
-                                    "recording.json"),
-    "target vertebra 6": (_set_json("target_vertebra", "6"), "register",
-                          "recording.json"),
+    "target screw past the plans": (
+        _edit_json(f"models/vert{metrics.TARGET_VERTEBRA}.json",
+                   lambda doc: doc.update(screw_plans=[])),
+        "evaluate", f"models/vert{metrics.TARGET_VERTEBRA}.json"),
+    "has_tool missing": (_edit_json("recording.json", lambda doc: doc.pop("has_tool")),
+                         "track", "recording.json"),
     "orientation row missing": (_drop_rows("oracle_orientation.csv", "5"),
                                 "register", "oracle_orientation.csv"),
+    "orientation row repeated": (_repeat_first_row("oracle_orientation.csv"),
+                                 "register", "oracle_orientation.csv"),
+    "observation repeated": (_repeat_first_row("observations.csv"), "track",
+                             "observations.csv"),
     "ground-truth frame missing": (_drop_rows("gt_poses.csv", "6"), "evaluate",
                                    "gt_poses.csv"),
     "ground-truth vertebra missing": (_drop_rows("gt_poses.csv", "3", "2"),
@@ -497,9 +531,8 @@ def _add_gt_frame(rec, poses):
 
 def _drop_target(rec, poses):
     """``poses`` holding the ground truth without the target vertebra's rows."""
-    target = formats.read_recording_meta(rec)["target_vertebra"]
     rows = formats.read_poses(rec / "gt_poses.csv")
-    formats.write_poses(poses, [r for r in rows if r.slot != target])
+    formats.write_poses(poses, [r for r in rows if r.slot != metrics.TARGET_VERTEBRA])
 
 
 def _repeat_gt_row(rec, poses):
@@ -522,32 +555,11 @@ def test_evaluate_reports_a_malformed_pose_table_as_format_error(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("k", ["4", "0", "-3"])
-def test_simulate_rejects_a_mask_kernel_that_is_not_a_positive_odd_integer(
-        tmp_path, capsys, k):
-    out = tmp_path / "rec"
-    rc = cli.main(["simulate", "--frames", "2", "--mask-smooth-k", k, "--out", str(out)])
-    assert rc == 1
-    assert "positive odd integer" in _value_error(capsys)["message"]
-    assert not (out / "recording.json").exists()
-
-
-@pytest.mark.parametrize("flags", [["--target-vertebra", "9"], ["--target-screw", "7"]],
-                         ids=["vertebra 9", "screw 7"])
-def test_simulate_rejects_a_target_the_scene_does_not_have(tmp_path, capsys, flags):
-    out = tmp_path / "rec"
-    rc = cli.main(["simulate", "--frames", "2", "--out", str(out)] + flags)
-    assert rc == 1
-    assert "target" in _value_error(capsys)["message"]
-    assert not (out / "recording.json").exists()
-
-
 # every subcommand's options; adding or removing one is an edit here
 CLI_OPTIONS = {
     "simulate": ["--out", "--seed", "--frames", "--fps", "--noise-sigma", "--dropout",
-                 "--orientation-error-deg", "--tilt-deg", "--scale", "--spacing",
-                 "--mask-smooth-k", "--motion", "--deform", "--occluder", "--tool",
-                 "--tool-noise-px", "--target-vertebra", "--target-screw"],
+                 "--orientation-error-deg", "--tilt-deg", "--motion", "--deform",
+                 "--occluder", "--tool", "--tool-noise-px"],
     "register": ["--recording", "--out", "--stream", "--perturb-initial"],
     "track": ["--recording", "--out"],
     "evaluate": ["--recording", "--poses", "--out"],
@@ -564,4 +576,4 @@ def test_the_cli_has_exactly_the_listed_options():
                   if s.startswith("--") and s != "--help"]
            for name, p in sub.choices.items()}
     assert got == CLI_OPTIONS
-    assert sum(map(len, got.values())) == 36
+    assert sum(map(len, got.values())) == 31

@@ -165,8 +165,7 @@ READERS = {
         lambda p: p.write_text("frame,qw,qx,qy,qz\n1,1.0,0.0,0.0,0.0\n"
                                "2,0.5,0.5,-0.5,0.5\n"))),
     "recording.json": (_read_meta, _written(lambda p: formats.write_json(p, {
-        "fps": 30.0, "frames": 2, "seed": 0, "tilt_deg": 0.0, "target_vertebra": 3,
-        "target_screw": 0, "intrinsics": formats._intrinsics_doc(_INTRINSICS),
+        "fps": 30.0, "frames": 2, "intrinsics": formats._intrinsics_doc(_INTRINSICS),
         "has_tool": True}))),
     "stereo.json": (formats.read_stereo, _written(lambda p: formats.write_stereo(
         p, track.StereoRig(_INTRINSICS, _INTRINSICS, RigidTransform(

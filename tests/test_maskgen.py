@@ -56,14 +56,12 @@ class TestSynthMask:
         with pytest.raises(ValueError):
             maskgen.synth_mask(np.zeros((4, 4)), np.zeros((5, 5)))
 
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            rendered = rng.uniform(300, 700, (30, 30))
-            sensor = rendered + rng.normal(0, 8, (30, 30))
-            small = maskgen.synth_mask(rendered, sensor, thresh_mm=5.0)
-            large = maskgen.synth_mask(rendered, sensor, thresh_mm=12.0)
-            assert not (small & ~large).any()
+    def test_match_threshold_is_strict(self):
+        rendered = np.full((2, 2), 500.0)
+        sensor = rendered + np.array([[0.0, maskgen.MATCH_MM - 1e-9],
+                                      [maskgen.MATCH_MM, -maskgen.MATCH_MM]])
+        mask = maskgen.synth_mask(rendered, sensor)
+        np.testing.assert_array_equal(mask, [[True, True], [False, False]])
 
     def test_requires_both_valid(self):
         rendered = np.full((5, 5), 500.0)
@@ -92,10 +90,6 @@ class TestSmoothMask:
         assert out[17:43, 17:43].all()          # interior intact (<= 7 px erosion)
         assert not (out & ~mask).any()          # no dilation beyond the rectangle
 
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            maskgen.smooth_mask(np.ones((10, 10), bool), k=4)
-
     def test_window_count_characterization(self):
         # pointwise content of the stability property: a pixel survives
         # exactly when its 15x15 window holds at least ceil(225/2) = 113
@@ -115,9 +109,4 @@ class TestSmoothMask:
     def test_empty_mask_stable(self):
         empty = np.zeros((20, 20), bool)
         np.testing.assert_array_equal(maskgen.smooth_mask(empty), empty)
-
-    def test_k_one_is_identity(self):
-        rng = np.random.default_rng(2)
-        mask = rng.random((15, 15)) < 0.5
-        np.testing.assert_array_equal(maskgen.smooth_mask(mask, k=1), mask)
 
