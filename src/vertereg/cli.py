@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: ``simulate`` writes a synthetic
-recording, ``register`` runs the Full pipeline over one, ``track`` turns
-stereo corner observations into smoothed drill poses, ``evaluate`` scores
-estimated poses against ground truth, ``ablate`` compares the four
-pipeline variants (General, Refinement, First-60 and Full, all derived
-from one Full pass), and ``serve`` replays poses as UDP telemetry.
+Five subcommands mirror the pipeline stages: ``simulate`` writes a
+synthetic recording, ``register`` runs the Full pipeline over one,
+``track`` turns stereo corner observations into smoothed drill poses,
+``evaluate`` scores estimated poses against ground truth and ``ablate``
+compares the four pipeline variants (General, Refinement, First-60 and
+Full, all derived from one Full pass). On a recording with the drill
+sleeve, ``register`` also tracks the sleeve frame by frame and writes its
+row (slot ``formats.DRILL_SLOT``, the same row ``track`` writes) to
+``poses.csv`` and to each frame's datagram.
 
 The commands run the paper's one parameter set: ``register`` and
 ``ablate`` use ``RegistrationConfig()``, ``track`` ``PoseKalman()``,
@@ -13,8 +16,8 @@ The commands run the paper's one parameter set: ``register`` and
 ``evaluate`` the target screw ``metrics.TARGET_SCREW`` of vertebra
 ``metrics.TARGET_VERTEBRA``.
 Library callers vary the method through ``RegistrationConfig``. Only the
-telemetry destination is set per deployment, by ``--stream`` / ``--dest``
-or ``$VERTEREG_STREAM``.
+telemetry destination is set per deployment, by ``register --stream`` or
+``$VERTEREG_STREAM``.
 
 All commands are deterministic given their seed: re-running produces
 byte-identical output files. ``register`` writes each frame's rows to
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -48,7 +52,6 @@ from .register import RegistrationConfig, run_recording
 from .track import InsufficientMarkersError, PoseKalman, track_pose
 
 STREAM_ENV = "VERTEREG_STREAM"
-DEFAULT_STREAM = "127.0.0.1:9750"
 
 
 def _fail(kind: str, message: str, **extra) -> None:
@@ -195,6 +198,8 @@ def cmd_register(args) -> int:
 
     dest_text = args.stream or os.environ.get(STREAM_ENV)
     dest = _parse_dest(dest_text) if dest_text else None
+    drill = (_drill_rows(rec, *rec.stereo()) if rec.has_tool
+             else itertools.repeat(None))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     streamer = stream.PoseStreamer(*dest) if dest else None
@@ -205,12 +210,14 @@ def cmd_register(args) -> int:
           open(out / "state_log.csv", "w") as log_out):
         poses_out.write(formats.POSES_HEADER + "\n")
         log_out.write("frame,vertebra,inliers,baseline,updated,frozen\n")
-        for state in run_recording(rec, rec.models, sim.oracle_segmenter,
-                                   RegistrationConfig(),
-                                   initial_perturbation=perturbation):
+        states = run_recording(rec, rec.models, sim.oracle_segmenter,
+                               RegistrationConfig(), initial_perturbation=perturbation)
+        for state, drill_row in zip(states, drill):
             f, tracks = state.frame_index, sorted(state.vertebrae.items())
             rows = {vid: PoseRow(f, vid, True, tr.updated, tr.pose)
                     for vid, tr in tracks}
+            if drill_row is not None:
+                rows[formats.DRILL_SLOT] = drill_row
             if streamer is not None:
                 streamer.send(_packet(f, rec.fps, rows))
             poses_out.writelines(map(formats.pose_line, rows.values()))
@@ -227,28 +234,34 @@ def cmd_register(args) -> int:
 # track
 # ---------------------------------------------------------------------------
 
+def _drill_rows(rec, rig, markers):
+    """The sleeve's row of each frame of ``rec``, one frame per step.
+
+    A frame whose markers give a pose yields the Kalman-smoothed pose; any
+    other frame holds the last pose with ``updated`` 0, and before the
+    first fix yields ``valid`` 0 with the identity pose.
+    """
+    per_frame = rec.observations()
+    kalman = PoseKalman()
+    dt = 1.0 / rec.fps
+    last = None
+    for f in range(1, rec.frame_count + 1):
+        try:
+            last = kalman.step(track_pose(per_frame.get(f, []), rig, markers), dt)
+            updated = True
+        except InsufficientMarkersError:
+            updated = False
+        if last is None:
+            yield PoseRow(f, formats.DRILL_SLOT, False, False, RigidTransform.identity())
+        else:
+            yield PoseRow(f, formats.DRILL_SLOT, True, updated, last)
+
+
 def cmd_track(args) -> int:
     rec = formats.LoadedRecording(args.recording)
     if not rec.has_tool:
         raise ValueError(f"recording {args.recording} has no stereo observations")
-    rig, markers = rec.stereo()
-    per_frame = rec.observations()
-    kalman = PoseKalman()
-    dt = 1.0 / rec.fps
-    rows = []
-    last = None
-    for f in range(1, rec.frame_count + 1):
-        obs = per_frame.get(f, [])
-        try:
-            measured = track_pose(obs, rig, markers)
-            last = kalman.step(measured, dt)
-            rows.append(PoseRow(f, formats.DRILL_SLOT, True, True, last))
-        except InsufficientMarkersError:
-            if last is not None:
-                rows.append(PoseRow(f, formats.DRILL_SLOT, True, False, last))
-            else:
-                rows.append(PoseRow(f, formats.DRILL_SLOT, False, False,
-                                    RigidTransform.identity()))
+    rows = list(_drill_rows(rec, *rec.stereo()))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.write_poses(out / "drill_poses.csv", rows)
@@ -394,42 +407,6 @@ def cmd_ablate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serve
-# ---------------------------------------------------------------------------
-
-def cmd_serve(args) -> int:
-    if args.count is not None and args.count < 1:
-        raise ValueError(f"--count {args.count} is below 1")
-    meta = formats.read_recording_meta(args.recording)
-    fps = meta["fps"] if args.fps is None else args.fps
-    if not 0.0 < fps < math.inf:
-        raise ValueError(f"fps {fps!r} is not positive and finite")
-    by_frame = formats.poses_by_frame(formats.read_poses(args.poses))
-    drill = {}
-    if args.drill_poses:
-        drill = formats.poses_by_frame(formats.read_poses(args.drill_poses))
-
-    frames = sorted(by_frame)[:args.count]
-    packets = []
-    for f in frames:
-        rows = dict(by_frame[f])
-        if formats.DRILL_SLOT in drill.get(f, {}):
-            rows[formats.DRILL_SLOT] = drill[f][formats.DRILL_SLOT]
-        packets.append(_packet(f, fps, rows))
-
-    dest_text = args.dest or os.environ.get(STREAM_ENV) or DEFAULT_STREAM
-    host, port = _parse_dest(dest_text)
-    stamps = stream.serve_packets(packets, fps, host, port)
-    jitter = stream.interval_jitter(stamps, fps)
-    if args.timing_log:
-        Path(args.timing_log).write_text(
-            "\n".join(repr(s) for s in stamps) + "\n")
-    print(f"sent {len(packets)} packets to {host}:{port} at {fps} fps "
-          f"(jitter {100 * jitter:.3f}%)")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
 
@@ -483,17 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("serve", help="replay poses as UDP telemetry")
-    p.add_argument("--recording", required=True)
-    p.add_argument("--poses", required=True)
-    p.add_argument("--drill-poses")
-    p.add_argument("--dest", help=f"host:port (default ${STREAM_ENV} "
-                                  f"or {DEFAULT_STREAM})")
-    p.add_argument("--fps", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--timing-log")
-    p.set_defaults(func=cmd_serve)
 
     return parser
 

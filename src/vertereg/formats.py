@@ -476,9 +476,11 @@ def _meta_from(doc: dict) -> dict:
         raise ValueError(f"{frames} frames, need at least 1")
     if not 0.0 < fps < math.inf:
         raise ValueError(f"fps {fps!r} is not positive and finite")
+    if not isinstance(doc["has_tool"], bool):
+        raise ValueError(f"has_tool {doc['has_tool']!r} is not a JSON boolean")
     return {"fps": fps, "frame_count": frames,
             "intrinsics": _intrinsics_from(doc["intrinsics"]),
-            "has_tool": bool(doc["has_tool"])}
+            "has_tool": doc["has_tool"]}
 
 
 def read_recording_meta(root) -> dict:
@@ -486,8 +488,9 @@ def read_recording_meta(root) -> dict:
 
     Returns fps, frame_count (key ``frames``), intrinsics and has_tool, all
     required; other keys are ignored. A missing file, bytes that are not
-    UTF-8 JSON, a missing or malformed key, fewer than one frame or an fps
-    that is not positive and finite raises FormatError.
+    UTF-8 JSON, a missing or malformed key, fewer than one frame, an fps
+    that is not positive and finite or a has_tool that is not a JSON boolean
+    raises FormatError.
     """
     path = Path(root) / "recording.json"
     try:

@@ -230,6 +230,10 @@ class Occluder:
     center: tuple[float, float, float]
     size: tuple[float, float, float]
 
+    def __post_init__(self):
+        if self.center[2] - self.size[2] / 2.0 <= 0:
+            raise ValueError("occluder must sit in front of the sensor")
+
     def active(self, frame_index: int) -> bool:
         return self.start_frame <= frame_index <= self.end_frame
 
@@ -238,8 +242,6 @@ class Occluder:
         x, y, z = self.center
         sx, sy, sz = self.size
         z0 = z - sz / 2.0
-        if z0 <= 0:
-            raise ValueError("occluder must sit in front of the sensor")
         u0, v0 = intr.project(x - sx / 2.0, y - sy / 2.0, z0)
         u1, v1 = intr.project(x + sx / 2.0, y + sy / 2.0, z0)
         return (max(0, int(np.rint(u0))), min(intr.width, int(np.rint(u1)) + 1),

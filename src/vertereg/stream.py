@@ -13,7 +13,6 @@ from __future__ import annotations
 import socket
 import struct
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,44 +91,3 @@ class PoseStreamer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _sleep_until(deadline: float) -> None:
-    # coarse sleep, then spin the last few milliseconds: nanosleep overshoot
-    # on a loaded host is far larger than the sub-percent jitter budget
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return
-        if remaining > 0.005:
-            time.sleep(remaining - 0.005)
-
-
-def serve_packets(packets: list[bytes], fps: float, host: str, port: int
-                  ) -> list[float]:
-    """Emit pre-encoded packets at the recording frame rate.
-
-    Pacing uses absolute deadlines from a monotonic clock, so timing errors
-    do not accumulate. Returns the send timestamp of every packet.
-    """
-    if fps <= 0:
-        raise ValueError("fps must be positive")
-    period = 1.0 / fps
-    stamps = []
-    with PoseStreamer(host, port) as streamer:
-        start = time.monotonic()
-        for k, packet in enumerate(packets):
-            _sleep_until(start + k * period)
-            # stamp at the emission decision; sendto duration is not pacing
-            stamps.append(time.monotonic())
-            streamer.send(packet)
-    return stamps
-
-
-def interval_jitter(stamps: list[float], fps: float) -> float:
-    """Mean |inter-send interval − period| as a fraction of the period."""
-    if len(stamps) < 2:
-        return 0.0
-    period = 1.0 / fps
-    intervals = np.diff(np.asarray(stamps))
-    return float(np.mean(np.abs(intervals - period)) / period)

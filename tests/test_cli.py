@@ -37,28 +37,44 @@ def tool_recording(coarse_scene, tmp_path_factory):
     return root, rec
 
 
-def test_register_stream_sends_one_datagram_per_frame_in_order(recording_dir, tmp_path):
+def _register_datagrams(recording, out) -> list[tuple[int, int, list[stream.PoseSlot]]]:
+    """Run ``register --stream`` to a local socket; the decoded datagrams it sent."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
     sock.settimeout(2.0)
     host, port = sock.getsockname()
+    frames = formats.read_recording_meta(recording)["frame_count"]
     with sock:
-        rc = cli.main(["register", "--recording", str(recording_dir),
-                       "--out", str(tmp_path), "--stream", f"{host}:{port}"])
+        rc = cli.main(["register", "--recording", str(recording),
+                       "--out", str(out), "--stream", f"{host}:{port}"])
         assert rc == 0
-        packets = [sock.recv(65536) for _ in range(5)]
+        packets = [sock.recv(65536) for _ in range(frames)]
         sock.settimeout(0.2)
         with pytest.raises(socket.timeout):
             sock.recv(65536)
-    decoded = [stream.decode_packet(p) for p in packets]
+    return [stream.decode_packet(p) for p in packets]
+
+
+def _same_row(a, b) -> bool:
+    """Whether two pose rows or slots agree bit for bit."""
+    return ((a.valid, a.updated, a.pose.q.tobytes(), a.pose.t.tobytes())
+            == (b.valid, b.updated, b.pose.q.tobytes(), b.pose.t.tobytes()))
+
+
+def test_register_stream_sends_one_datagram_per_frame_in_order(recording_dir, tmp_path):
+    decoded = _register_datagrams(recording_dir, tmp_path)
     assert [frame for frame, _, _ in decoded] == [1, 2, 3, 4, 5]
     assert [ts for _, ts, _ in decoded] == [round(k / 30.0 * 1e6) for k in range(5)]
-    poses = formats.poses_by_frame(formats.read_poses(tmp_path / "poses.csv"))
+    rows = formats.read_poses(tmp_path / "poses.csv")
+    assert {r.slot for r in rows} == {1, 2, 3, 4, 5}
+    poses = formats.poses_by_frame(rows)
     for frame, _, slots in decoded:
         for vid in range(1, 6):
             sent, written = slots[vid - 1].pose, poses[frame][vid].pose
             assert sent.q.tolist() == written.q.tolist()
             assert sent.t.tolist() == written.t.tolist()
+        # a recording without the sleeve leaves the drill slot empty
+        assert _same_row(slots[formats.DRILL_SLOT - 1], stream.PoseSlot.empty())
 
 
 def test_register_keeps_the_rows_of_the_frames_before_a_truncated_frame(
@@ -82,30 +98,26 @@ def test_register_keeps_the_rows_of_the_frames_before_a_truncated_frame(
             line for line in lines if not line.startswith("5,"))
 
 
-def test_serve_sends_the_pose_and_drill_rows_of_each_frame(tool_recording, tmp_path):
+def _drill_lines(path) -> list[str]:
+    """The drill-slot lines of a pose table, newline included."""
+    return [line for line in path.read_text().splitlines(keepends=True)
+            if line.split(",")[1] == str(formats.DRILL_SLOT)]
+
+
+def test_register_sends_and_writes_the_drill_row_track_writes(tool_recording, tmp_path):
     root, _ = tool_recording
-    for cmd in ("register", "track"):
-        assert cli.main([cmd, "--recording", str(root), "--out", str(tmp_path)]) == 0
-    poses = formats.poses_by_frame(formats.read_poses(tmp_path / "poses.csv"))
-    drill = formats.poses_by_frame(formats.read_poses(tmp_path / "drill_poses.csv"))
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind(("127.0.0.1", 0))
-    sock.settimeout(2.0)
-    host, port = sock.getsockname()
-    with sock:
-        assert cli.main(["serve", "--recording", str(root),
-                         "--poses", str(tmp_path / "poses.csv"),
-                         "--drill-poses", str(tmp_path / "drill_poses.csv"),
-                         "--fps", "1000", "--dest", f"{host}:{port}"]) == 0
-        packets = [sock.recv(65536) for _ in range(8)]
-    for k, packet in enumerate(packets, start=1):
-        frame, ts_us, slots = stream.decode_packet(packet)
-        assert (frame, ts_us) == (k, round((k - 1) / 1000.0 * 1e6))
-        rows = [poses[k][vid] for vid in range(1, 6)] + [drill[k][formats.DRILL_SLOT]]
-        for slot, row in zip(slots, rows, strict=True):
-            assert (slot.valid, slot.updated) == (row.valid, row.updated)
-            assert slot.pose.q.tolist() == row.pose.q.tolist()
-            assert slot.pose.t.tolist() == row.pose.t.tolist()
+    decoded = _register_datagrams(root, tmp_path / "reg")
+    assert cli.main(["track", "--recording", str(root), "--out", str(tmp_path / "trk")]) == 0
+    poses = formats.poses_by_frame(formats.read_poses(tmp_path / "reg" / "poses.csv"))
+    drill = formats.poses_by_frame(formats.read_poses(tmp_path / "trk" / "drill_poses.csv"))
+    assert [frame for frame, _, _ in decoded] == list(range(1, 9))
+    for frame, _, slots in decoded:
+        rows = [poses[frame][slot] for slot in range(1, stream.SLOT_COUNT + 1)]
+        assert all(_same_row(slot, row) for slot, row in zip(slots, rows, strict=True))
+        assert _same_row(rows[-1], drill[frame][formats.DRILL_SLOT])
+    assert any(row[formats.DRILL_SLOT].updated for row in drill.values())
+    assert (_drill_lines(tmp_path / "reg" / "poses.csv")
+            == _drill_lines(tmp_path / "trk" / "drill_poses.csv"))
 
 
 def _format_error(capsys) -> dict:
@@ -133,59 +145,6 @@ def test_register_reports_missing_recording_key_as_format_error(
     assert "intrinsics" in _format_error(capsys)["message"]
 
 
-def test_serve_reports_missing_recording_as_format_error(tmp_path, capsys):
-    rc = cli.main(["serve", "--recording", str(tmp_path / "absent"),
-                   "--poses", str(tmp_path / "poses.csv"), "--dest", "127.0.0.1:9"])
-    assert rc == 2
-    assert _format_error(capsys)["file"].endswith("recording.json")
-
-
-@pytest.mark.parametrize("fps", ["-30", "nan"])
-def test_serve_rejects_an_fps_that_is_not_positive_and_finite(
-        tool_recording, capsys, fps):
-    root, _ = tool_recording
-    rc = cli.main(["serve", "--recording", str(root),
-                   "--poses", str(root / "gt_poses.csv"), "--fps", fps,
-                   "--dest", "127.0.0.1:9"])
-    assert rc == 1
-    _value_error(capsys)
-
-
-def _serve_count(root, count) -> tuple[int, list[bytes]]:
-    """Exit code of ``serve --count count`` and the datagrams it sent."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind(("127.0.0.1", 0))
-    sock.settimeout(0.2)
-    host, port = sock.getsockname()
-    packets = []
-    with sock:
-        rc = cli.main(["serve", "--recording", str(root),
-                       "--poses", str(root / "gt_poses.csv"), "--fps", "1000",
-                       "--count", count, "--dest", f"{host}:{port}"])
-        try:
-            while True:
-                packets.append(sock.recv(65536))
-        except socket.timeout:
-            pass
-    return rc, packets
-
-
-def test_serve_count_sends_that_many_leading_frames(tool_recording):
-    root, _ = tool_recording
-    rc, packets = _serve_count(root, "3")
-    assert rc == 0
-    assert [stream.decode_packet(p)[0] for p in packets] == [1, 2, 3]
-
-
-@pytest.mark.parametrize("count", ["-118", "0"])
-def test_serve_rejects_a_count_below_one(tool_recording, capsys, count):
-    root, _ = tool_recording
-    rc, packets = _serve_count(root, count)
-    assert rc == 1
-    assert packets == []
-    assert "--count" in _value_error(capsys)["message"]
-
-
 @pytest.mark.parametrize("fps", ["nan", "inf", "0"])
 def test_simulate_rejects_an_fps_that_is_not_positive_and_finite(
         tmp_path, capsys, fps):
@@ -207,6 +166,7 @@ def test_simulate_rejects_an_fps_that_is_not_positive_and_finite(
     (["--noise-sigma", "-0.5"], "nonnegative"),
     (["--orientation-error-deg", "-3"], "nonnegative"),
     (["--tool", "--tool-noise-px", "-1"], "nonnegative"),
+    (["--occluder", "3:4:0,0,5:10,10,20"], "in front of the sensor"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_simulate_rejects_a_scenario_value_that_is_not_finite_or_a_negative_noise(
         tmp_path, capsys, flags, word):
@@ -342,12 +302,18 @@ def test_track_leaves_out_a_marker_with_a_misdetected_corner(tool_recording, tmp
 def test_track_holds_the_last_pose_when_too_few_markers_are_reliable(
         tool_recording, tmp_path):
     root, _ = tool_recording
-    poses = _track(_move_right_corner(root, tmp_path, 4, {0, 2}), tmp_path / "out")
+    broken = _move_right_corner(root, tmp_path, 4, {0, 2})
+    poses = _track(broken, tmp_path / "out")
     held, last = poses[4][formats.DRILL_SLOT], poses[3][formats.DRILL_SLOT]
     assert held.valid and not held.updated
     assert held.pose.t.tolist() == last.pose.t.tolist()
     assert held.pose.q.tolist() == last.pose.q.tolist()
     assert poses[5][formats.DRILL_SLOT].updated
+    # register holds the sleeve by the same rule
+    assert cli.main(["register", "--recording", str(broken),
+                     "--out", str(tmp_path / "reg")]) == 0
+    assert (_drill_lines(tmp_path / "reg" / "poses.csv")
+            == _drill_lines(tmp_path / "out" / "drill_poses.csv"))
 
 
 def _set_json(key, text, name="recording.json"):
@@ -414,8 +380,13 @@ RECORDING_ERRORS = {
         _edit_json(f"models/vert{metrics.TARGET_VERTEBRA}.json",
                    lambda doc: doc.update(screw_plans=[])),
         "evaluate", f"models/vert{metrics.TARGET_VERTEBRA}.json"),
+    "stereo without markers, register": (
+        _edit_json("stereo.json", lambda doc: doc.pop("markers")), "register",
+        "stereo.json"),
     "has_tool missing": (_edit_json("recording.json", lambda doc: doc.pop("has_tool")),
                          "track", "recording.json"),
+    "has_tool a string": (_set_json("has_tool", '"false"'), "register",
+                          "recording.json"),
     "orientation row missing": (_drop_rows("oracle_orientation.csv", "5"),
                                 "register", "oracle_orientation.csv"),
     "orientation row repeated": (_repeat_first_row("oracle_orientation.csv"),
@@ -499,24 +470,18 @@ def _refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("port", ["0", "99999", "http"])
-@pytest.mark.parametrize("route", ["register --stream", "register $VERTEREG_STREAM",
-                                   "serve --dest"])
+@pytest.mark.parametrize("route", ["register --stream", "register $VERTEREG_STREAM"])
 def test_a_stream_port_outside_1_to_65535_is_an_error(
         tool_recording, tmp_path, capsys, monkeypatch, route, port):
     root, _ = tool_recording
     monkeypatch.setattr(stream, "PoseStreamer", _refuse)
-    monkeypatch.setattr(stream, "serve_packets", _refuse)
     dest = f"127.0.0.1:{port}"
     out = tmp_path / "out"
-    if route == "serve --dest":
-        argv = ["serve", "--recording", str(root), "--poses", str(root / "gt_poses.csv"),
-                "--dest", dest]
+    argv = ["register", "--recording", str(root), "--out", str(out)]
+    if route == "register --stream":
+        argv += ["--stream", dest]
     else:
-        argv = ["register", "--recording", str(root), "--out", str(out)]
-        if route == "register --stream":
-            argv += ["--stream", dest]
-        else:
-            monkeypatch.setenv(cli.STREAM_ENV, dest)
+        monkeypatch.setenv(cli.STREAM_ENV, dest)
     assert cli.main(argv) == 1
     assert "1..65535" in _value_error(capsys)["message"]
     assert not out.exists()
@@ -564,8 +529,6 @@ CLI_OPTIONS = {
     "track": ["--recording", "--out"],
     "evaluate": ["--recording", "--poses", "--out"],
     "ablate": ["--recording", "--out"],
-    "serve": ["--recording", "--poses", "--drill-poses", "--dest", "--fps", "--count",
-              "--timing-log"],
 }
 
 
@@ -576,4 +539,4 @@ def test_the_cli_has_exactly_the_listed_options():
                   if s.startswith("--") and s != "--help"]
            for name, p in sub.choices.items()}
     assert got == CLI_OPTIONS
-    assert sum(map(len, got.values())) == 31
+    assert sum(map(len, got.values())) == 24
