@@ -471,7 +471,12 @@ def read_orientations(path) -> dict[int, np.ndarray]:
 
 
 def _meta_from(doc: dict) -> dict:
-    fps, frames = float(doc["fps"]), int(doc["frames"])
+    fps, frames = doc["fps"], doc["frames"]
+    if type(frames) is not int:
+        raise ValueError(f"frames {frames!r} is not a JSON integer")
+    if type(fps) not in (int, float):
+        raise ValueError(f"fps {fps!r} is not a JSON number")
+    fps = float(fps)
     if frames < 1:
         raise ValueError(f"{frames} frames, need at least 1")
     if not 0.0 < fps < math.inf:
@@ -488,9 +493,10 @@ def read_recording_meta(root) -> dict:
 
     Returns fps, frame_count (key ``frames``), intrinsics and has_tool, all
     required; other keys are ignored. A missing file, bytes that are not
-    UTF-8 JSON, a missing or malformed key, fewer than one frame, an fps
-    that is not positive and finite or a has_tool that is not a JSON boolean
-    raises FormatError.
+    UTF-8 JSON, a missing or malformed key, a frame count that is not a
+    JSON integer or is below one, an fps that is not a JSON number or is not
+    positive and finite, or a has_tool that is not a JSON boolean raises
+    FormatError.
     """
     path = Path(root) / "recording.json"
     try:

@@ -316,6 +316,44 @@ def test_track_holds_the_last_pose_when_too_few_markers_are_reliable(
             == _drill_lines(tmp_path / "out" / "drill_poses.csv"))
 
 
+@pytest.mark.parametrize("fixes", ["..xx.x", "x..x.", "....", "xxxx"])
+def test_drill_rows_yield_the_smoothed_fix_the_held_pose_or_the_identity(
+        monkeypatch, fixes):
+    # fixes[f - 1] is "x" when frame f's markers give a sleeve pose
+    fps = 30.0
+    measured = {f: RigidTransform(np.array([1.0, 0.0, 0.1 * f, 0.0]),
+                                  np.array([f, -2.0 * f, 300.0]))
+                for f, c in enumerate(fixes, 1) if c == "x"}
+    seen = []
+
+    def fake_track_pose(observations, rig, markers):
+        assert (rig, markers) == ("rig", "markers")
+        seen.append(observations)
+        if not observations:
+            raise cli.InsufficientMarkersError("too few markers")
+        return measured[observations[0]]
+
+    monkeypatch.setattr(cli, "track_pose", fake_track_pose)
+    rec = argparse.Namespace(fps=fps, frame_count=len(fixes),
+                             observations=lambda: {f: [f] for f in measured})
+    rows = cli._drill_rows(rec, "rig", "markers")
+    kalman, last = cli.PoseKalman(), None
+    for f, c in enumerate(fixes, 1):
+        row = next(rows)
+        # one frame is tracked per row, so register can zip the rows with
+        # its own frame loop
+        assert seen == [[g] if g in measured else [] for g in range(1, f + 1)]
+        assert (row.frame, row.slot) == (f, formats.DRILL_SLOT)
+        if c == "x":
+            last = kalman.step(measured[f], 1.0 / fps)
+        assert row.updated == (c == "x")
+        assert row.valid == (last is not None)
+        want = RigidTransform.identity() if last is None else last
+        assert row.pose.q.tobytes() == want.q.tobytes()
+        assert row.pose.t.tobytes() == want.t.tobytes()
+    assert next(rows, None) is None
+
+
 def _set_json(key, text, name="recording.json"):
     """Set each value of ``key`` in the JSON file ``name`` to the literal
     JSON ``text``."""
@@ -405,6 +443,10 @@ RECORDING_ERRORS = {
     "more frames than recorded": (_set_json("frames", "12"), "register",
                                   "oracle_orientation.csv"),
     "zero fps": (_set_json("fps", "0"), "track", "recording.json"),
+    "fractional frames": (_set_json("frames", "2.7"), "register", "recording.json"),
+    "frames a boolean": (_set_json("frames", "true"), "register", "recording.json"),
+    "fps a boolean": (_set_json("fps", "true"), "track", "recording.json"),
+    "fps a string": (_set_json("fps", '"30"'), "register", "recording.json"),
     "stereo width 1e999": (_set_json("width", "1e999", "stereo.json"), "track",
                            "stereo.json"),
     "stereo nested too deeply": (lambda rec: (rec / "stereo.json").write_text(

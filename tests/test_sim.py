@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vertereg import sim
 from vertereg.geom import RigidTransform
@@ -55,3 +56,14 @@ def test_dropout_clears_the_pixels_the_2d_index_formula_picks(coarse_scene):
     want[vv[drop], uu[drop]] = 0.0
     assert after.tobytes() == want.tobytes()
     assert (after == 0).sum() > (before == 0).sum()
+
+
+@pytest.mark.parametrize("center_z, depth", [(10.0, 20.0), (5.0, 20.0), (-300.0, 1.0)])
+def test_an_occluder_at_or_behind_the_sensor_is_rejected_when_built(center_z, depth):
+    with pytest.raises(ValueError, match="in front of the sensor"):
+        sim.Occluder(1, 2, (0.0, 0.0, center_z), (10.0, 10.0, depth))
+
+
+def test_an_occluder_just_in_front_of_the_sensor_is_built(coarse_scene):
+    box = sim.Occluder(1, 2, (0.0, 0.0, 10.5), (10.0, 10.0, 20.0))
+    assert box.pixel_region(coarse_scene.intrinsics)[4] == 0.5
