@@ -303,17 +303,13 @@ def cmd_evaluate(args) -> int:
             if row is None or not row.valid:
                 frame_lines.append(f"{f},{vid},0,0,")
                 continue
-            gt = rec.gt_pose(vid, f)
-            model = by_id[vid]
-            t = metrics.tre(gt, row.pose, model.landmarks)
+            t, screws = metrics.vertebra_errors(by_id[vid], rec.gt_pose(vid, f),
+                                                row.pose)
             tre_series[vid].append(t)
             frame_lines.append(f"{f},{vid},1,{int(row.updated)},{t!r}")
             if vid == target_vid and f > 1 and row.updated:
                 updated_count += 1
-            for sidx, plan in enumerate(model.screw_plans):
-                traj = metrics.trajectory_error(plan.direction, gt, row.pose)
-                entry = metrics.entry_point_error(plan.entry, gt, row.pose)
-                depth = metrics.perforation(model.pedicle_points, plan, gt, row.pose)
+            for sidx, (traj, entry, depth) in enumerate(screws):
                 safe = metrics.is_safe(depth)
                 key = (vid, sidx)
                 traj_series.setdefault(key, []).append(traj)

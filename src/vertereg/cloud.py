@@ -161,56 +161,3 @@ class NearestNeighborIndex:
         # max_dist; a missing neighbour is inf and fails the test too
         found = dist < max_dist
         return near[found], idx[found], dist[found]
-
-
-# cell edge and depth tolerance of select_posterior_visible's z-buffer, mm
-VISIBLE_GRID_MM = 0.5
-VISIBLE_DEPTH_TOL_MM = 0.5
-
-
-def select_posterior_visible(points: np.ndarray, normals: np.ndarray,
-                             view_dir: np.ndarray) -> np.ndarray:
-    """Indices of points visible from an orthographic view along view_dir.
-
-    A point survives when its normal faces the viewer (normal·view_dir < 0)
-    and it passes an orthographic z-buffer test: within VISIBLE_DEPTH_TOL_MM
-    of the nearest depth in its VISIBLE_GRID_MM x VISIBLE_GRID_MM cell.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-    view_dir = np.asarray(view_dir, dtype=float)
-    view_dir = view_dir / np.linalg.norm(view_dir)
-
-    facing = normals @ view_dir < 0.0
-    cand = np.nonzero(facing)[0]
-    if cand.size == 0:
-        return cand
-
-    # orthonormal basis with w = view direction
-    w = view_dir
-    a = np.array([1.0, 0.0, 0.0]) if abs(w[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(w, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(w, u)
-
-    p = points[cand]
-    su = p @ u
-    sv = p @ v
-    d = p @ w
-    iu = np.floor(su / VISIBLE_GRID_MM).astype(np.int64)
-    iv = np.floor(sv / VISIBLE_GRID_MM).astype(np.int64)
-    iu -= iu.min()
-    iv -= iv.min()
-    cell = iu * (iv.max() + 1) + iv
-
-    order = np.argsort(cell, kind="stable")
-    cell_sorted = cell[order]
-    d_sorted = d[order]
-    starts = np.flatnonzero(np.r_[True, cell_sorted[1:] != cell_sorted[:-1]])
-    min_d = np.minimum.reduceat(d_sorted, starts)
-    group = np.cumsum(np.r_[0, (cell_sorted[1:] != cell_sorted[:-1]).astype(int)])
-    keep_sorted = d_sorted <= min_d[group] + VISIBLE_DEPTH_TOL_MM
-
-    keep = np.zeros(cand.size, dtype=bool)
-    keep[order] = keep_sorted
-    return cand[keep]

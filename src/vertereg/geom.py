@@ -159,19 +159,23 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map points (3,) or (N, 3) through R @ p + t."""
-        pts = np.asarray(points, dtype=float)
-        r = quat_to_matrix(self.q)
-        if pts.ndim == 1:
-            return r @ pts + self.t
-        # a C-contiguous r.T gives the same bytes as the transposed view in
-        # a third of the time, and three column adds the same bytes as the
-        # (N, 3) + (3,) broadcast in about two thirds of it
-        out = pts @ r.T.copy()
-        t = self.t
-        out[:, 0] += t[0]
-        out[:, 1] += t[1]
-        out[:, 2] += t[2]
-        return out
+        return transform_points(quat_to_matrix(self.q), self.t, points)
+
+
+def transform_points(r: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Points (3,) or (N, 3) mapped through r @ p + t, as RigidTransform.apply
+    maps them; for a caller that reuses one rotation matrix."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        return r @ pts + t
+    # a C-contiguous r.T gives the same bytes as the transposed view in
+    # a third of the time, and three column adds the same bytes as the
+    # (N, 3) + (3,) broadcast in about two thirds of it
+    out = pts @ r.T.copy()
+    out[:, 0] += t[0]
+    out[:, 1] += t[1]
+    out[:, 2] += t[2]
+    return out
 
 
 def pose_difference(a: RigidTransform, b: RigidTransform) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geom import RigidTransform, quat_to_matrix
+from .geom import RigidTransform, quat_to_matrix, transform_points
 from .register import (RegistrationConfig, ScrewPlan, VertebraModel,
                        run_recording)
 
@@ -32,8 +32,11 @@ def tre(gt_pose: RigidTransform, est_pose: RigidTransform,
         landmarks: np.ndarray) -> float:
     """Mean distance between landmarks mapped by the true and estimated pose."""
     landmarks = np.asarray(landmarks, dtype=float).reshape(-1, 3)
-    d = np.linalg.norm(gt_pose.apply(landmarks) - est_pose.apply(landmarks), axis=1)
-    return float(d.mean())
+    return _mean_distance(gt_pose.apply(landmarks), est_pose.apply(landmarks))
+
+
+def _mean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b, axis=1).mean())
 
 
 def tre_start_frame(frames: int) -> int:
@@ -53,11 +56,15 @@ def recording_tre(per_frame: list[float], start_frame: int) -> float:
 def trajectory_error(planned_dir: np.ndarray, gt_pose: RigidTransform,
                      est_pose: RigidTransform) -> float:
     """Angle in degrees between the true and estimated screw trajectory."""
+    return _trajectory_angle(planned_dir, quat_to_matrix(gt_pose.q),
+                             quat_to_matrix(est_pose.q))
+
+
+def _trajectory_angle(planned_dir: np.ndarray, r_gt: np.ndarray,
+                      r_est: np.ndarray) -> float:
     d = np.asarray(planned_dir, dtype=float)
     d = d / np.linalg.norm(d)
-    a = quat_to_matrix(gt_pose.q) @ d
-    b = quat_to_matrix(est_pose.q) @ d
-    c = float(np.clip(a @ b, -1.0, 1.0))
+    c = float(np.clip((r_gt @ d) @ (r_est @ d), -1.0, 1.0))
     return math.degrees(math.acos(c))
 
 
@@ -65,7 +72,11 @@ def entry_point_error(planned_entry: np.ndarray, gt_pose: RigidTransform,
                       est_pose: RigidTransform) -> float:
     """Distance in mm between the true and estimated screw entry point."""
     e = np.asarray(planned_entry, dtype=float)
-    return float(np.linalg.norm(gt_pose.apply(e) - est_pose.apply(e)))
+    return _distance(gt_pose.apply(e), est_pose.apply(e))
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b))
 
 
 def perforation(pedicle_points: np.ndarray, screw: ScrewPlan,
@@ -78,18 +89,56 @@ def perforation(pedicle_points: np.ndarray, screw: ScrewPlan,
     maximum, or None when no point is inside.
     """
     pts = gt_pose.apply(np.asarray(pedicle_points, dtype=float).reshape(-1, 3))
-    entry = est_pose.apply(screw.entry)
-    axis = quat_to_matrix(est_pose.q) @ screw.direction
+    return _intrusion(pts, screw, est_pose.apply(screw.entry),
+                      quat_to_matrix(est_pose.q) @ screw.direction)
 
+
+def _intrusion(pts: np.ndarray, screw: ScrewPlan, entry: np.ndarray,
+               axis: np.ndarray) -> float | None:
+    """``perforation`` of sensor-frame points into the screw posed at
+    ``entry`` along ``axis``."""
     w = pts - entry
     axial = w @ axis
-    radial = np.linalg.norm(w - np.outer(axial, axis), axis=1)
+    # the row norms of w - np.outer(axial, axis), one column at a time:
+    # np.linalg.norm(axis=1) of an (N, 3) array sums the squares as
+    # (a + b) + c, so the bits are the same, at a fraction of the cost
+    x, y, z = (w[:, k] - axial * axis[k] for k in range(3))
+    radial = np.sqrt((x * x + y * y) + z * z)
     inside = (axial >= 0.0) & (axial <= screw.length_mm) & (radial < screw.radius_mm)
     if not inside.any():
         return None
     depth = np.minimum(screw.radius_mm - radial[inside],
                        np.minimum(axial[inside], screw.length_mm - axial[inside]))
     return float(depth.max())
+
+
+def vertebra_errors(model: VertebraModel, gt_pose: RigidTransform,
+                    est_pose: RigidTransform
+                    ) -> tuple[float, list[tuple[float, float, float | None]]]:
+    """``tre`` of the model's landmarks and, per screw plan, its
+    ``trajectory_error``, ``entry_point_error`` and ``perforation``.
+
+    The same values, bit for bit, as those four functions give; each pose's
+    rotation matrix and the ground-truth-posed pedicle points are built
+    once for all of them.
+    """
+    r_gt, r_est = quat_to_matrix(gt_pose.q), quat_to_matrix(est_pose.q)
+
+    def true(points):
+        return transform_points(r_gt, gt_pose.t, points)
+
+    def estimated(points):
+        return transform_points(r_est, est_pose.t, points)
+
+    target = _mean_distance(true(model.landmarks), estimated(model.landmarks))
+    pedicle = true(model.pedicle_points)
+    screws = []
+    for plan in model.screw_plans:
+        entry = estimated(plan.entry)
+        screws.append((_trajectory_angle(plan.direction, r_gt, r_est),
+                       _distance(true(plan.entry), entry),
+                       _intrusion(pedicle, plan, entry, r_est @ plan.direction)))
+    return target, screws
 
 
 def is_safe(depth: float | None) -> bool:
@@ -131,19 +180,25 @@ def run_ablation(frames, models: list[VertebraModel], segmenter,
     (``UPDATE_FRAMES``) shows Full's poses up to interaction frame n and
     holds them afterwards; General holds every vertebra at Full's en-bloc
     pose, unrefined. ``gt_lookup(vid, frame_index)`` gives the true pose.
+
+    Each value is ``tre``'s. The landmarks are posed by the truth and by
+    Full once per frame, and by a held mode's poses once.
     """
-    by_id = {m.id: m for m in models}
-    held: dict[str, dict[int, RigidTransform]] = {}
+    landmarks = {m.id: m.landmarks for m in models}
+    held: dict[str, dict[int, np.ndarray]] = {}
     series = {mode: {m.id: [] for m in models} for mode in ABLATION_MODES}
     for interaction, state in enumerate(run_recording(frames, models, segmenter,
                                                       cfg)):
-        poses = {vid: track.pose for vid, track in state.vertebrae.items()}
+        posed = {vid: track.pose.apply(landmarks[vid])
+                 for vid, track in state.vertebrae.items()}
+        truth = {vid: gt_lookup(vid, state.frame_index).apply(landmarks[vid])
+                 for vid in posed}
         if interaction == 0:
-            held["General"] = dict.fromkeys(poses, state.en_bloc)
+            held["General"] = {vid: state.en_bloc.apply(landmarks[vid])
+                               for vid in posed}
         for mode, limit in UPDATE_FRAMES.items():
             if interaction == limit:
-                held.setdefault(mode, poses)
-            for vid, pose in held.get(mode, poses).items():
-                gt = gt_lookup(vid, state.frame_index)
-                series[mode][vid].append(tre(gt, pose, by_id[vid].landmarks))
+                held.setdefault(mode, posed)
+            for vid, est in held.get(mode, posed).items():
+                series[mode][vid].append(_mean_distance(truth[vid], est))
     return series

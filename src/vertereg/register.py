@@ -94,8 +94,9 @@ class VertebraModel:
     the model frame, for en-bloc ICP. ``landmarks`` are the three evaluation
     landmarks (spinous process tip, left and right transverse process tips).
     ``index`` is the KD-tree over ``reg_points`` that the per-vertebra stages
-    match scene points into. Both are derived once here, so ``reg_points``
-    must not be reassigned afterwards.
+    match scene points into, and ``pedicle_points`` the rows of
+    ``pedicle_indices``. All are derived once here, so ``points`` and the
+    index arrays must not be reassigned afterwards.
     """
 
     id: int
@@ -107,6 +108,7 @@ class VertebraModel:
     screw_plans: tuple[ScrewPlan, ...]
     reg_points: np.ndarray = field(init=False, repr=False, compare=False)
     coarse_points: np.ndarray = field(init=False, repr=False, compare=False)
+    pedicle_points: np.ndarray = field(init=False, repr=False, compare=False)
     index: NearestNeighborIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,11 +129,8 @@ class VertebraModel:
         self.reg_points = self.points[self.reg_indices]
         self.coarse_points = self.reg_points[voxel_subsample(self.reg_points,
                                                              COARSE_VOXEL_MM)]
+        self.pedicle_points = self.points[self.pedicle_indices]
         self.index = NearestNeighborIndex(self.reg_points)
-
-    @property
-    def pedicle_points(self) -> np.ndarray:
-        return self.points[self.pedicle_indices]
 
 
 @dataclass(frozen=True)

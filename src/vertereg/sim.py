@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import CameraIntrinsics, select_posterior_visible
+from .cloud import CameraIntrinsics
 from .geom import RigidTransform, axis_angle_quat, quat_mul
-from .maskgen import render_depth, smooth_mask, synth_mask
+from .maskgen import covered_box, render_depth, smooth_mask, synth_mask
 from .register import ScrewPlan, VertebraModel
 from .track import MarkerObservation, StereoRig
 
@@ -86,6 +86,59 @@ def _sample_tube(start, direction, radius: float, length: float,
     pts = start + ss[..., None] * direction + radius * ring
     normals = ring
     return pts.reshape(-1, 3), normals.reshape(-1, 3)
+
+
+# cell edge and depth tolerance of select_posterior_visible's z-buffer, mm
+VISIBLE_GRID_MM = 0.5
+VISIBLE_DEPTH_TOL_MM = 0.5
+
+
+def select_posterior_visible(points: np.ndarray, normals: np.ndarray,
+                             view_dir: np.ndarray) -> np.ndarray:
+    """Indices of points visible from an orthographic view along view_dir.
+
+    A point survives when its normal faces the viewer (normal·view_dir < 0)
+    and it passes an orthographic z-buffer test: within VISIBLE_DEPTH_TOL_MM
+    of the nearest depth in its VISIBLE_GRID_MM x VISIBLE_GRID_MM cell.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
+    view_dir = np.asarray(view_dir, dtype=float)
+    view_dir = view_dir / np.linalg.norm(view_dir)
+
+    facing = normals @ view_dir < 0.0
+    cand = np.nonzero(facing)[0]
+    if cand.size == 0:
+        return cand
+
+    # orthonormal basis with w = view direction
+    w = view_dir
+    a = np.array([1.0, 0.0, 0.0]) if abs(w[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = np.cross(w, a)
+    u /= np.linalg.norm(u)
+    v = np.cross(w, u)
+
+    p = points[cand]
+    su = p @ u
+    sv = p @ v
+    d = p @ w
+    iu = np.floor(su / VISIBLE_GRID_MM).astype(np.int64)
+    iv = np.floor(sv / VISIBLE_GRID_MM).astype(np.int64)
+    iu -= iu.min()
+    iv -= iv.min()
+    cell = iu * (iv.max() + 1) + iv
+
+    order = np.argsort(cell, kind="stable")
+    cell_sorted = cell[order]
+    d_sorted = d[order]
+    starts = np.flatnonzero(np.r_[True, cell_sorted[1:] != cell_sorted[:-1]])
+    min_d = np.minimum.reduceat(d_sorted, starts)
+    group = np.cumsum(np.r_[0, (cell_sorted[1:] != cell_sorted[:-1]).astype(int)])
+    keep_sorted = d_sorted <= min_d[group] + VISIBLE_DEPTH_TOL_MM
+
+    keep = np.zeros(cand.size, dtype=bool)
+    keep[order] = keep_sorted
+    return cand[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +291,22 @@ class Occluder:
         return self.start_frame <= frame_index <= self.end_frame
 
     def pixel_region(self, intr: CameraIntrinsics) -> tuple[int, int, int, int, float]:
-        """(u0, u1, v0, v1) half-open pixel bounds of the front face + its depth."""
+        """(u0, u1, v0, v1) half-open pixel bounds of the front face + its depth.
+
+        The bounds are clipped to the image, so a face wholly off it gives
+        an empty region (u0 == u1 or v0 == v1).
+        """
         x, y, z = self.center
         sx, sy, sz = self.size
         z0 = z - sz / 2.0
         u0, v0 = intr.project(x - sx / 2.0, y - sy / 2.0, z0)
         u1, v1 = intr.project(x + sx / 2.0, y + sy / 2.0, z0)
-        return (max(0, int(np.rint(u0))), min(intr.width, int(np.rint(u1)) + 1),
-                max(0, int(np.rint(v0))), min(intr.height, int(np.rint(v1)) + 1), z0)
+
+        def clip(lo, hi, size):
+            lo = min(max(0, int(np.rint(lo))), size)
+            return lo, min(max(lo, int(np.rint(hi)) + 1), size)
+
+        return (*clip(u0, u1, intr.width), *clip(v0, v1, intr.height), z0)
 
 
 def default_marker_reference() -> dict[int, np.ndarray]:
@@ -373,6 +434,14 @@ class Recording:
 
         The oracle orientation prior is the true orientation of vertebra
         ``PRIOR_VERTEBRA``, corrupted by ``orientation_error_deg``.
+
+        The occluder fill, noise, dropout and ``synth_mask`` run only on the
+        pixel box that the rendered anatomy and the active occluders' regions
+        cover; every other pixel stays invalid. A valid pixel lies in that
+        box, and row-major order inside it is the whole image's order, so
+        each noise and dropout draw lands on the same pixel as in a
+        full-image pass. The draws are made even when the box is empty, so
+        the prior and the tool corners take the same values too.
         """
         if not 1 <= f <= self.spec.frames:
             raise IndexError(f"frame {f} outside 1..{self.spec.frames}")
@@ -382,26 +451,41 @@ class Recording:
         posed = np.vstack([gt[m.id].apply(m.points) for m in self.scene.models])
         clean = render_depth(posed, intr)
 
-        sensor = clean.copy()
-        for occ in self.spec.occluders:
-            if occ.active(f):
-                u0, u1, v0, v1, z0 = occ.pixel_region(intr)
-                region = sensor[v0:v1, u0:u1]
-                region[(region == 0) | (region > z0)] = z0
+        # every pixel that can be valid lies in the box that the rendered
+        # anatomy and the active occluders' regions cover
+        regions = [r for r in (occ.pixel_region(intr) for occ in self.spec.occluders
+                               if occ.active(f)) if r[0] < r[1] and r[2] < r[3]]
+        boxes = [(rv0, rv1, ru0, ru1) for ru0, ru1, rv0, rv1, _ in regions]
+        anatomy = covered_box(clean)
+        if anatomy is not None:
+            boxes.append(anatomy)
+        v0, v1, u0, u1 = ((min(b[0] for b in boxes), max(b[1] for b in boxes),
+                           min(b[2] for b in boxes), max(b[3] for b in boxes))
+                          if boxes else (0, 0, 0, 0))
+        box = np.s_[v0:v1, u0:u1]
+        rendered = clean[box]
+        sub = rendered.copy()
+        for ru0, ru1, rv0, rv1, z0 in regions:
+            region = sub[rv0 - v0:rv1 - v0, ru0 - u0:ru1 - u0]
+            region[(region == 0) | (region > z0)] = z0
 
         rng = np.random.default_rng([self.seed, f])
         if self.spec.depth_sigma > 0:
-            valid = sensor > 0
+            valid = sub > 0
             noise = rng.normal(0.0, self.spec.depth_sigma, size=int(valid.sum()))
-            sensor[valid] = np.maximum(sensor[valid] + noise, 1e-3)
+            sub[valid] = np.maximum(sub[valid] + noise, 1e-3)
         if self.spec.dropout > 0:
             # flat indices, as in cloud.depth_to_cloud: same pixels, same
             # order, without the cost of a 2-D np.nonzero
-            valid = np.flatnonzero(sensor > 0)
+            valid = np.flatnonzero(sub > 0)
             drop = rng.random(size=valid.size) < self.spec.dropout
-            np.put(sensor, valid[drop], 0.0)
+            np.put(sub, valid[drop], 0.0)
+        sensor = np.zeros_like(clean)
+        sensor[box] = sub
 
-        mask = smooth_mask(synth_mask(clean, sensor))
+        mask = np.zeros(clean.shape, dtype=bool)
+        mask[box] = synth_mask(rendered, sub)
+        mask = smooth_mask(mask)
 
         q_p = gt[PRIOR_VERTEBRA].q.copy()
         if self.spec.orientation_error_deg > 0:

@@ -21,6 +21,21 @@ def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def brute_force_depth(points, intr) -> np.ndarray:
+    """Nearest positive depth per pixel of the whole image, one point at a
+    time, each rounded to its nearest pixel as in ``CameraIntrinsics.project``."""
+    depth = np.zeros((intr.height, intr.width))
+    for x, y, z in np.asarray(points, dtype=float).reshape(-1, 3).tolist():
+        if not z > 0:
+            continue
+        u = round(intr.fx * x / z + intr.cx)
+        v = round(intr.fy * y / z + intr.cy)
+        if 0 <= u < intr.width and 0 <= v < intr.height and (
+                depth[v, u] == 0.0 or z < depth[v, u]):
+            depth[v, u] = z
+    return depth
+
+
 def bake_selfconsistent_models(scene, seed=0):
     """Rebuild the scene's models from their own rendered cloud.
 

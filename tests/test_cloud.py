@@ -331,35 +331,3 @@ class TestNearestNeighbors:
         _, _, d_big = cloud.NearestNeighborIndex(np.vstack([small, extra])).query(
             queries, np.inf)
         assert (d_big <= d_small + 1e-12).all()
-
-
-class TestPosteriorVisible:
-    def test_sphere_hemisphere(self):
-        # density chosen so the 0.5 mm z-buffer grid resolves the samples;
-        # denser sampling would cull grazing rim points by design
-        rng = np.random.default_rng(7)
-        dirs = rng.normal(size=(2000, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = 30.0 * dirs
-        sel = cloud.select_posterior_visible(pts, dirs, [0.0, 0.0, -1.0])
-        # viewer above +z: the n_z > 0 hemisphere is kept
-        assert (dirs[sel][:, 2] > 0).all()
-        assert sel.size == pytest.approx(1000, rel=0.05)
-
-    def test_plane_facing_viewer(self):
-        xs, ys = np.meshgrid(np.linspace(0, 10, 21), np.linspace(0, 10, 21))
-        pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
-        normals = np.tile([0.0, 0.0, 1.0], (pts.shape[0], 1))
-        sel = cloud.select_posterior_visible(pts, normals, [0.0, 0.0, -1.0])
-        assert sel.size == pts.shape[0]
-
-    def test_stacked_planes_keep_nearer(self):
-        xs, ys = np.meshgrid(np.linspace(0, 10, 21), np.linspace(0, 10, 21))
-        near = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, 5.0)])
-        far = near.copy()
-        far[:, 2] = 0.0
-        pts = np.vstack([near, far])
-        normals = np.tile([0.0, 0.0, 1.0], (pts.shape[0], 1))
-        # viewer at +z looking along -z: larger z is nearer
-        sel = cloud.select_posterior_visible(pts, normals, [0.0, 0.0, -1.0])
-        assert set(sel) == set(range(near.shape[0]))

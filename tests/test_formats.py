@@ -50,7 +50,8 @@ def test_model_round_trip_keeps_every_array_and_the_registration_subset(
         back = formats.load_model(ply, sidecar)
         assert back.id == m.id
         for name in ("points", "normals", "reg_indices", "reg_points",
-                     "coarse_points", "landmarks", "pedicle_indices"):
+                     "coarse_points", "landmarks", "pedicle_indices",
+                     "pedicle_points"):
             assert getattr(back, name).tobytes() == getattr(m, name).tobytes(), name
         assert len(back.screw_plans) == len(m.screw_plans)
         for a, b in zip(back.screw_plans, m.screw_plans):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import random_unit_quat
 from vertereg import metrics, register, sim
-from vertereg.geom import RigidTransform, axis_angle_quat
+from vertereg.geom import RigidTransform, axis_angle_quat, quat_to_matrix
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +138,41 @@ def test_a_turn_across_the_screw_axis_tilts_the_trajectory_by_its_angle(
         axis_angle_quat(across, np.radians(angle_deg)), np.zeros(3)))
     assert metrics.trajectory_error(direction, gt_pose, est) == pytest.approx(
         angle_deg, abs=1e-9)
+
+
+def _first_perforation(pedicle_points, screw, gt, est):
+    """``perforation`` as first written, with np.linalg.norm and np.outer."""
+    pts = gt.apply(pedicle_points)
+    entry = est.apply(screw.entry)
+    axis = quat_to_matrix(est.q) @ screw.direction
+    w = pts - entry
+    axial = w @ axis
+    radial = np.linalg.norm(w - np.outer(axial, axis), axis=1)
+    inside = (axial >= 0.0) & (axial <= screw.length_mm) & (radial < screw.radius_mm)
+    if not inside.any():
+        return None
+    depth = np.minimum(screw.radius_mm - radial[inside],
+                       np.minimum(axial[inside], screw.length_mm - axial[inside]))
+    return float(depth.max())
+
+
+def test_vertebra_errors_equal_the_four_metric_functions_bit_for_bit(coarse_scene):
+    rng = np.random.default_rng(12)
+    depths = []
+    for model in coarse_scene.models:
+        gt = RigidTransform(random_unit_quat(rng), rng.normal(0.0, 50.0, 3))
+        for angle_deg, shift_mm in [(0.0, 0.0), (0.3, 0.5), (1.0, 2.0), (4.0, 3.0)]:
+            est = sim.perturbation(rng, np.radians(angle_deg), shift_mm).compose(gt)
+            t, screws = metrics.vertebra_errors(model, gt, est)
+            assert repr(t) == repr(metrics.tre(gt, est, model.landmarks))
+            assert len(screws) == len(model.screw_plans)
+            for plan, (traj, entry, depth) in zip(model.screw_plans, screws):
+                assert repr(traj) == repr(metrics.trajectory_error(plan.direction, gt, est))
+                assert repr(entry) == repr(metrics.entry_point_error(plan.entry, gt, est))
+                want = metrics.perforation(model.pedicle_points, plan, gt, est)
+                assert repr(depth) == repr(want)
+                assert repr(want) == repr(_first_perforation(
+                    model.pedicle_points, plan, gt, est))
+                depths.append(depth)
+    # both outcomes of the perforation test are covered
+    assert None in depths and any(d is not None for d in depths)
