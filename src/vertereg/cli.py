@@ -5,10 +5,12 @@ synthetic recording, ``register`` runs the Full pipeline over one,
 ``track`` turns stereo corner observations into smoothed drill poses,
 ``evaluate`` scores estimated poses against ground truth and ``ablate``
 compares the four pipeline variants (General, Refinement, First-60 and
-Full, all derived from one Full pass). On a recording with the drill
-sleeve, ``register`` also tracks the sleeve frame by frame and writes its
-row (slot ``formats.DRILL_SLOT``, the same row ``track`` writes) to
-``poses.csv`` and to each frame's datagram.
+Full, all derived from one Full pass). Both judge a recording-level error
+over the frames numbered ``metrics.TRE_START_FRAME`` or later (all frames
+when there are fewer), by frame number, with invalid rows skipped. On a
+recording with the drill sleeve, ``register`` also tracks the sleeve frame
+by frame and writes its row (slot ``formats.DRILL_SLOT``, the same row
+``track`` writes) to ``poses.csv`` and to each frame's datagram.
 
 The commands run the paper's one parameter set: ``register`` and
 ``ablate`` use ``RegistrationConfig()``, ``track`` ``PoseKalman()``,
@@ -85,12 +87,9 @@ def _parse_motion(text: str) -> tuple[list[int], dict]:
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"motion spec needs VERT:KIND:VEC:FREQ, got {text!r}")
-    vids = _parse_vert_ids(parts[0])
-    kind = parts[1]
-    if kind not in ("sine", "drift"):
-        raise ValueError(f"motion kind must be sine or drift, got {kind!r}")
-    return vids, {"kind": kind, "vector": _parse_vec3(parts[2]),
-                  "freq_hz": float(parts[3])}
+    return _parse_vert_ids(parts[0]), {"kind": parts[1],
+                                       "vector": _parse_vec3(parts[2]),
+                                       "freq_hz": float(parts[3])}
 
 
 def _parse_deform(text: str) -> tuple[list[int], dict]:
@@ -274,8 +273,17 @@ def cmd_track(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
+    """Score the poses file against the recording's ground truth.
+
+    Every figure comes from two tables of valid rows, ``(frame, tre)`` per
+    vertebra and ``(frame, trajectory, entry, perforation)`` per screw, each
+    tail judged by ``metrics.recording_tre``. A vertebra or screw with no
+    judged row is left out; for the target that is a ``format`` error, and
+    every check runs before ``--out`` is created.
+    """
     rec = formats.LoadedRecording(args.recording)
     target_vid, target_screw = metrics.TARGET_VERTEBRA, metrics.TARGET_SCREW
+    target_key = (target_vid, target_screw)
     by_id = {m.id: m for m in rec.models}
     if len(by_id[target_vid].screw_plans) <= target_screw:
         raise FormatError(f"vertebra {target_vid} has no screw plan {target_screw}",
@@ -289,80 +297,66 @@ def cmd_evaluate(args) -> int:
                               f"1..{rec.frame_count}", args.poses)
     start = metrics.tre_start_frame(len(frames))
 
+    vertebrae: dict[int, list[tuple[int, float]]] = {}
+    screws: dict[tuple[int, int], list[tuple[int, float, float, float | None]]] = {}
     frame_lines = ["frame,vertebra,valid,updated,tre_mm"]
     screw_lines = ["frame,vertebra,screw,traj_err_deg,entry_err_mm,perforation_mm,safe"]
-    tre_series: dict[int, list[float]] = {vid: [] for vid in by_id}
-    traj_series: dict[tuple[int, int], list[float]] = {}
-    entry_series: dict[tuple[int, int], list[float]] = {}
-    perf_series: dict[tuple[int, int], list[float | None]] = {}
-    updated_count = 0
-
     for f in frames:
-        for vid in sorted(by_id):
+        for vid, model in sorted(by_id.items()):
             row = est[f].get(vid)
             if row is None or not row.valid:
                 frame_lines.append(f"{f},{vid},0,0,")
                 continue
-            t, screws = metrics.vertebra_errors(by_id[vid], rec.gt_pose(vid, f),
-                                                row.pose)
-            tre_series[vid].append(t)
+            t, errors = metrics.vertebra_errors(model, rec.gt_pose(vid, f), row.pose)
+            vertebrae.setdefault(vid, []).append((f, t))
             frame_lines.append(f"{f},{vid},1,{int(row.updated)},{t!r}")
-            if vid == target_vid and f > 1 and row.updated:
-                updated_count += 1
-            for sidx, (traj, entry, depth) in enumerate(screws):
-                safe = metrics.is_safe(depth)
-                key = (vid, sidx)
-                traj_series.setdefault(key, []).append(traj)
-                entry_series.setdefault(key, []).append(entry)
-                perf_series.setdefault(key, []).append(depth)
+            for sidx, (traj, entry, depth) in enumerate(errors):
+                screws.setdefault((vid, sidx), []).append((f, traj, entry, depth))
                 depth_txt = "" if depth is None else repr(depth)
                 screw_lines.append(f"{f},{vid},{sidx},{traj!r},{entry!r},"
-                                   f"{depth_txt},{int(safe)}")
+                                   f"{depth_txt},{int(metrics.is_safe(depth))}")
 
-    target_key = (target_vid, target_screw)
-    if target_key not in perf_series:
-        raise FormatError(f"no valid row of target vertebra {target_vid}",
-                          args.poses)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "frame_metrics.csv").write_text("\n".join(frame_lines) + "\n")
-    (out / "screw_metrics.csv").write_text("\n".join(screw_lines) + "\n")
+    def judged_means(table, column):
+        # rows run in frame order, so the last row tells whether any is judged
+        return {key: metrics.recording_tre([(r[0], r[column]) for r in rows], start)
+                for key, rows in table.items() if rows[-1][0] >= start}
 
-    success = metrics.success_rate(perf_series[target_key])
+    tre_mm = judged_means(vertebrae, 1)
+    traj_deg, entry_mm = judged_means(screws, 1), judged_means(screws, 2)
+    if target_vid not in tre_mm:
+        raise FormatError(f"no valid row of target vertebra {target_vid} at or "
+                          f"after frame {start}", args.poses)
+    judged_depths = [r[3] for rows in screws.values() for r in rows if r[0] >= start]
+    success = metrics.success_rate([r[3] for r in screws[target_key]])
+    updated = sum(est[f][target_vid].updated for f, _ in vertebrae[target_vid] if f > 1)
     gt1 = rec.gt_pose(target_vid, frames[0])
     coronal_normal = quat_to_matrix(gt1.q) @ np.array([0.0, 0.0, 1.0])
     vp_angle = metrics.viewpoint_angle(np.array([0.0, 0.0, 1.0]), coronal_normal)
-
-    tail_perfs = [d for key, series in perf_series.items()
-                  for d in series[start - 1:]]
     summary = {
         "frames": len(frames),
         "tre_start_frame": start,
         "target_vertebra": target_vid,
         "target_screw": target_screw,
-        "tre_mm": {
-            "per_vertebra": {str(vid): metrics.recording_tre(tre_series[vid], start)
-                             for vid in sorted(tre_series) if tre_series[vid]},
-            "target": metrics.recording_tre(tre_series[target_vid], start),
-        },
+        "tre_mm": {"per_vertebra": {str(vid): v for vid, v in tre_mm.items()},
+                   "target": tre_mm[target_vid]},
         "trajectory_error_deg": {
-            "target": metrics.recording_tre(traj_series[target_key], start),
-            "per_screw": {f"{v}:{s}": metrics.recording_tre(vals, start)
-                          for (v, s), vals in sorted(traj_series.items())},
-        },
+            "target": traj_deg[target_key],
+            "per_screw": {f"{v}:{s}": x for (v, s), x in traj_deg.items()}},
         "entry_point_error_mm": {
-            "target": metrics.recording_tre(entry_series[target_key], start),
-            "per_screw": {f"{v}:{s}": metrics.recording_tre(vals, start)
-                          for (v, s), vals in sorted(entry_series.items())},
-        },
+            "target": entry_mm[target_key],
+            "per_screw": {f"{v}:{s}": x for (v, s), x in entry_mm.items()}},
         "success_rate": success,
-        "updated_fraction": updated_count / max(1, len(frames) - 1),
+        "updated_fraction": updated / max(1, len(frames) - 1),
         "viewpoint_angle_deg": vp_angle,
         "viewpoint_acceptable": metrics.viewpoint_acceptable(vp_angle),
-        "all_screws_safe_after_start": all(metrics.is_safe(d) for d in tail_perfs),
-        "max_perforation_mm": max((d for d in tail_perfs if d is not None),
+        "all_screws_safe_after_start": all(map(metrics.is_safe, judged_depths)),
+        "max_perforation_mm": max((d for d in judged_depths if d is not None),
                                   default=None),
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "frame_metrics.csv").write_text("\n".join(frame_lines) + "\n")
+    (out / "screw_metrics.csv").write_text("\n".join(screw_lines) + "\n")
     formats.write_json(out / "summary.json", summary)
     print(f"success rate {success:.3f}, target TRE "
           f"{summary['tre_mm']['target']:.3f} mm -> {out / 'summary.json'}")
@@ -379,8 +373,8 @@ def cmd_ablate(args) -> int:
 
     series = metrics.run_ablation(rec, rec.models, sim.oracle_segmenter,
                                   RegistrationConfig(), rec.gt_pose)
-    results = {mode: {vid: metrics.recording_tre(values, start)
-                      for vid, values in per_vertebra.items()}
+    results = {mode: {vid: metrics.recording_tre(rows, start)
+                      for vid, rows in per_vertebra.items()}
                for mode, per_vertebra in series.items()}
 
     out = Path(args.out)

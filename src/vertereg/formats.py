@@ -105,16 +105,18 @@ def _read_json(path, build):
 # depth maps
 # ---------------------------------------------------------------------------
 
-def write_depth(path, depth_mm: np.ndarray, scale: float = DEFAULT_DEPTH_SCALE) -> None:
+def write_depth(path, depth_mm: np.ndarray) -> None:
+    """Write a depth map in units of ``DEFAULT_DEPTH_SCALE`` mm, the scale
+    the header records and ``read_depth`` reads back."""
     depth_mm = np.asarray(depth_mm, dtype=float)
     h, w = depth_mm.shape
-    units = np.rint(depth_mm / scale)
+    units = np.rint(depth_mm / DEFAULT_DEPTH_SCALE)
     units = np.clip(units, 0, 65535).astype(np.uint16)
     # keep valid pixels valid after quantization
     units[(depth_mm > 0) & (units == 0)] = 1
     with open(path, "wb") as f:
         f.write(DEPTH_MAGIC)
-        f.write(struct.pack("<IIf", w, h, scale))
+        f.write(struct.pack("<IIf", w, h, DEFAULT_DEPTH_SCALE))
         f.write(units.tobytes())
 
 
@@ -288,7 +290,7 @@ def write_poses(path, rows: list[PoseRow]) -> None:
         f.writelines(map(pose_line, rows))
 
 
-def _read_rows(path, header: str, n_fields: int, parse, key=None) -> list:
+def _read_rows(path, header: str, n_fields: int, parse, key) -> list:
     """``parse(fields)`` of every nonblank row of a CSV file under ``header``.
 
     A wrong header, a row with other than ``n_fields`` fields, a ValueError
@@ -312,11 +314,10 @@ def _read_rows(path, header: str, n_fields: int, parse, key=None) -> list:
                 rows.append(parse(parts))
             except ValueError:
                 raise FormatError(f"bad value in row {text!r}", path, offset)
-            if key is not None:
-                k = key(rows[-1])
-                if k in seen:
-                    raise FormatError(f"repeated row {k} in {text!r}", path, offset)
-                seen.add(k)
+            k = key(rows[-1])
+            if k in seen:
+                raise FormatError(f"repeated row {k} in {text!r}", path, offset)
+            seen.add(k)
         offset += len(line) + 1
     return rows
 

@@ -1,13 +1,15 @@
 """Outcome metrics for registration quality and screw placement safety.
 
-Frame indices are 1-based; recording-level target registration error is
-averaged over frames 61 and later, giving the pipeline roughly two seconds
-of updates to settle before being judged.
+Frame indices are 1-based. A recording-level error is the mean over the
+valid rows whose frame number is ``TRE_START_FRAME`` (61) or later, giving
+the pipeline roughly two seconds of updates to settle before being judged;
+invalid rows are skipped, so they do not shift the judged frames.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -45,19 +47,13 @@ def tre_start_frame(frames: int) -> int:
     return TRE_START_FRAME if frames >= TRE_START_FRAME else 1
 
 
-def recording_tre(per_frame: list[float], start_frame: int) -> float:
-    """Mean of a per-frame error series from ``start_frame`` on (1-based)."""
-    if len(per_frame) < start_frame:
-        raise ValueError(f"recording has {len(per_frame)} frames, "
-                         f"need at least {start_frame}")
-    return float(np.mean(per_frame[start_frame - 1:]))
-
-
-def trajectory_error(planned_dir: np.ndarray, gt_pose: RigidTransform,
-                     est_pose: RigidTransform) -> float:
-    """Angle in degrees between the true and estimated screw trajectory."""
-    return _trajectory_angle(planned_dir, quat_to_matrix(gt_pose.q),
-                             quat_to_matrix(est_pose.q))
+def recording_tre(rows: Iterable[tuple[int, float]], start_frame: int) -> float:
+    """Mean of the values of ``(frame, value)`` rows whose frame is at or
+    after ``start_frame``, taken in row order."""
+    tail = [value for frame, value in rows if frame >= start_frame]
+    if not tail:
+        raise ValueError(f"no row at or after frame {start_frame}")
+    return float(np.mean(tail))
 
 
 def _trajectory_angle(planned_dir: np.ndarray, r_gt: np.ndarray,
@@ -66,17 +62,6 @@ def _trajectory_angle(planned_dir: np.ndarray, r_gt: np.ndarray,
     d = d / np.linalg.norm(d)
     c = float(np.clip((r_gt @ d) @ (r_est @ d), -1.0, 1.0))
     return math.degrees(math.acos(c))
-
-
-def entry_point_error(planned_entry: np.ndarray, gt_pose: RigidTransform,
-                      est_pose: RigidTransform) -> float:
-    """Distance in mm between the true and estimated screw entry point."""
-    e = np.asarray(planned_entry, dtype=float)
-    return _distance(gt_pose.apply(e), est_pose.apply(e))
-
-
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
 
 
 def perforation(pedicle_points: np.ndarray, screw: ScrewPlan,
@@ -115,12 +100,14 @@ def _intrusion(pts: np.ndarray, screw: ScrewPlan, entry: np.ndarray,
 def vertebra_errors(model: VertebraModel, gt_pose: RigidTransform,
                     est_pose: RigidTransform
                     ) -> tuple[float, list[tuple[float, float, float | None]]]:
-    """``tre`` of the model's landmarks and, per screw plan, its
-    ``trajectory_error``, ``entry_point_error`` and ``perforation``.
+    """``tre`` of the model's landmarks and, per screw plan, its trajectory
+    error (degrees between the axis under the true and the estimated pose),
+    entry-point error (mm between the two posed entry points) and
+    ``perforation``.
 
-    The same values, bit for bit, as those four functions give; each pose's
-    rotation matrix and the ground-truth-posed pedicle points are built
-    once for all of them.
+    ``tre`` and ``perforation`` are bit for bit those functions' values;
+    each pose's rotation matrix and the ground-truth-posed pedicle points
+    are built once for all of them.
     """
     r_gt, r_est = quat_to_matrix(gt_pose.q), quat_to_matrix(est_pose.q)
 
@@ -136,7 +123,7 @@ def vertebra_errors(model: VertebraModel, gt_pose: RigidTransform,
     for plan in model.screw_plans:
         entry = estimated(plan.entry)
         screws.append((_trajectory_angle(plan.direction, r_gt, r_est),
-                       _distance(true(plan.entry), entry),
+                       float(np.linalg.norm(true(plan.entry) - entry)),
                        _intrusion(pedicle, plan, entry, r_est @ plan.direction)))
     return target, screws
 
@@ -172,8 +159,9 @@ def viewpoint_acceptable(angle_deg: float) -> bool:
 
 def run_ablation(frames, models: list[VertebraModel], segmenter,
                  cfg: RegistrationConfig, gt_lookup
-                 ) -> dict[str, dict[int, list[float]]]:
-    """Per-mode, per-vertebra TRE series from one streamed pass over ``frames``.
+                 ) -> dict[str, dict[int, list[tuple[int, float]]]]:
+    """Per-mode, per-vertebra ``(frame, tre)`` rows from one streamed pass
+    over ``frames``.
 
     Only Full runs (``run_recording``), and it registers the initial frame
     once. A mode that updates for the first n interaction frames
@@ -200,5 +188,6 @@ def run_ablation(frames, models: list[VertebraModel], segmenter,
             if interaction == limit:
                 held.setdefault(mode, posed)
             for vid, est in held.get(mode, posed).items():
-                series[mode][vid].append(_mean_distance(truth[vid], est))
+                series[mode][vid].append((state.frame_index,
+                                          _mean_distance(truth[vid], est)))
     return series

@@ -119,26 +119,15 @@ def select_posterior_visible(points: np.ndarray, normals: np.ndarray,
     v = np.cross(w, u)
 
     p = points[cand]
-    su = p @ u
-    sv = p @ v
-    d = p @ w
-    iu = np.floor(su / VISIBLE_GRID_MM).astype(np.int64)
-    iv = np.floor(sv / VISIBLE_GRID_MM).astype(np.int64)
+    iu = np.floor((p @ u) / VISIBLE_GRID_MM).astype(np.int64)
+    iv = np.floor((p @ v) / VISIBLE_GRID_MM).astype(np.int64)
     iu -= iu.min()
     iv -= iv.min()
     cell = iu * (iv.max() + 1) + iv
-
-    order = np.argsort(cell, kind="stable")
-    cell_sorted = cell[order]
-    d_sorted = d[order]
-    starts = np.flatnonzero(np.r_[True, cell_sorted[1:] != cell_sorted[:-1]])
-    min_d = np.minimum.reduceat(d_sorted, starts)
-    group = np.cumsum(np.r_[0, (cell_sorted[1:] != cell_sorted[:-1]).astype(int)])
-    keep_sorted = d_sorted <= min_d[group] + VISIBLE_DEPTH_TOL_MM
-
-    keep = np.zeros(cand.size, dtype=bool)
-    keep[order] = keep_sorted
-    return cand[keep]
+    d = p @ w
+    nearest = np.full(int(cell.max()) + 1, np.inf)
+    np.minimum.at(nearest, cell, d)
+    return cand[d <= nearest[cell] + VISIBLE_DEPTH_TOL_MM]
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +247,18 @@ class MotionSpec:
     offset_translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
     offset_rotvec: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        if self.kind not in ("none", "sine", "drift"):
+            raise ValueError(f"motion kind must be none, sine or drift, "
+                             f"got {self.kind!r}")
+
     def pose_at(self, t: float) -> RigidTransform:
-        if self.kind == "none":
-            shift = np.zeros(3)
-        elif self.kind == "sine":
+        if self.kind == "sine":
             shift = np.asarray(self.vector) * math.sin(2.0 * math.pi * self.freq_hz * t)
         elif self.kind == "drift":
             shift = np.asarray(self.vector) * t
         else:
-            raise ValueError(f"unknown motion kind {self.kind!r}")
+            shift = np.zeros(3)
         rotvec = np.asarray(self.offset_rotvec, dtype=float)
         angle = float(np.linalg.norm(rotvec))
         q = (axis_angle_quat(rotvec / angle, angle) if angle > 0

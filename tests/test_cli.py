@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from vertereg import cli, formats, metrics, sim, stream
-from vertereg.geom import RigidTransform
-from vertereg.register import RegistrationConfig
+from vertereg.geom import RigidTransform, axis_angle_quat, quat_to_matrix
+from vertereg.register import RegistrationConfig, run_recording
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,16 @@ def recording_dir(coarse_scene, tmp_path_factory):
     root = tmp_path_factory.mktemp("rec")
     formats.write_recording(sim.render_recording(coarse_scene,
                                                  sim.RecordingSpec(frames=5), seed=0),
+                            root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def long_recording(coarse_scene, tmp_path_factory):
+    """64 frames, so that evaluate judges frames 61-64."""
+    root = tmp_path_factory.mktemp("long_rec")
+    formats.write_recording(sim.render_recording(coarse_scene,
+                                                 sim.RecordingSpec(frames=64), seed=0),
                             root)
     return root
 
@@ -167,6 +177,7 @@ def test_simulate_rejects_an_fps_that_is_not_positive_and_finite(
     (["--orientation-error-deg", "-3"], "nonnegative"),
     (["--tool", "--tool-noise-px", "-1"], "nonnegative"),
     (["--occluder", "3:4:0,0,5:10,10,20"], "in front of the sensor"),
+    (["--motion", "all:sinus:0,0,1:0.2"], "sinus"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_simulate_rejects_a_scenario_value_that_is_not_finite_or_a_negative_noise(
         tmp_path, capsys, flags, word):
@@ -548,18 +559,208 @@ def _repeat_gt_row(rec, poses):
     _repeat_first_row(poses.name)(poses.parent)
 
 
-@pytest.mark.parametrize("make", [_add_gt_frame, _drop_target, _repeat_gt_row],
+def _invalidate_judged_target(rec, poses):
+    """``poses`` holding the ground truth with the target vertebra invalid
+    on every frame from ``TRE_START_FRAME`` on."""
+    formats.write_poses(poses, [
+        formats.PoseRow(r.frame, r.slot, False, False, r.pose)
+        if r.slot == metrics.TARGET_VERTEBRA and r.frame >= metrics.TRE_START_FRAME
+        else r for r in formats.read_poses(rec / "gt_poses.csv")])
+
+
+@pytest.mark.parametrize("make", [_add_gt_frame, _drop_target, _repeat_gt_row,
+                                  _invalidate_judged_target],
                          ids=["frame the recording lacks", "no row of the target",
-                              "repeated row"])
+                              "repeated row", "no judged row of the target"])
 def test_evaluate_reports_a_malformed_pose_table_as_format_error(
-        recording_dir, tmp_path, capsys, make):
+        long_recording, tmp_path, capsys, make):
     poses = tmp_path / "poses.csv"
-    make(recording_dir, poses)
-    rc = cli.main(["evaluate", "--recording", str(recording_dir), "--poses", str(poses),
+    make(long_recording, poses)
+    rc = cli.main(["evaluate", "--recording", str(long_recording), "--poses", str(poses),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert _format_error(capsys)["file"] == str(poses)
     assert not (tmp_path / "out").exists()
+
+
+def _perturbed_poses(rec, poses, invalid=(), held=()):
+    """``poses`` holding the ground truth moved off by a frame-dependent turn
+    and shift in the model frame, twice as far before frame 61 as from it
+    on; the ``(frame, vertebra)`` pairs in ``invalid`` get ``valid`` 0 and
+    those in ``held`` ``updated`` 0."""
+    rows = []
+    for r in formats.read_poses(rec / "gt_poses.csv"):
+        s = (1 + (r.frame - 1) % 5) * (2 if r.frame < metrics.TRE_START_FRAME else 1)
+        delta = RigidTransform(axis_angle_quat(np.array([0.0, 0.6, 0.8]),
+                                               math.radians(2.0 * s)),
+                               np.array([1.0 * s, -0.3 * s, 0.0]))
+        key = (r.frame, r.slot)
+        rows.append(formats.PoseRow(r.frame, r.slot, key not in invalid,
+                                    key not in held, r.pose.compose(delta)))
+    formats.write_poses(poses, rows)
+
+
+def _csv_rows(path) -> list[dict[str, str]]:
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _safe(depth_text: str) -> bool:
+    return depth_text == "" or float(depth_text) < metrics.SAFE_PERFORATION_MM
+
+
+def _summary_from_csvs(rec, out) -> dict:
+    """``summary.json`` as recomputed from evaluate's two CSVs: each tail is
+    the valid rows whose frame number is at or after the start frame."""
+    frame_rows = _csv_rows(out / "frame_metrics.csv")
+    screw_rows = _csv_rows(out / "screw_metrics.csv")
+    frames = sorted({int(r["frame"]) for r in frame_rows})
+    start = metrics.TRE_START_FRAME if len(frames) >= metrics.TRE_START_FRAME else 1
+    vid, sidx = str(metrics.TARGET_VERTEBRA), str(metrics.TARGET_SCREW)
+
+    def judged_means(rows, key, column):
+        judged = {}
+        for r in rows:
+            if int(r["frame"]) >= start and r.get("valid", "1") == "1":
+                judged.setdefault(key(r), []).append(float(r[column]))
+        return {k: float(np.mean(v)) for k, v in judged.items()}
+
+    tre = judged_means(frame_rows, lambda r: r["vertebra"], "tre_mm")
+    traj, entry = (judged_means(screw_rows, lambda r: f"{r['vertebra']}:{r['screw']}",
+                                column) for column in ("traj_err_deg", "entry_err_mm"))
+    target = [r["perforation_mm"] for r in screw_rows
+              if (r["vertebra"], r["screw"]) == (vid, sidx)]
+    judged_depths = [r["perforation_mm"] for r in screw_rows if int(r["frame"]) >= start]
+    updated = [r for r in frame_rows
+               if r["vertebra"] == vid and int(r["frame"]) > 1 and r["updated"] == "1"]
+    gt = formats.poses_by_frame(formats.read_poses(rec / "gt_poses.csv"))
+    normal = quat_to_matrix(gt[frames[0]][int(vid)].pose.q) @ np.array([0.0, 0.0, 1.0])
+    angle = metrics.viewpoint_angle(np.array([0.0, 0.0, 1.0]), normal)
+    return {
+        "frames": len(frames), "tre_start_frame": start,
+        "target_vertebra": int(vid), "target_screw": int(sidx),
+        "tre_mm": {"per_vertebra": tre, "target": tre[vid]},
+        "trajectory_error_deg": {"per_screw": traj, "target": traj[f"{vid}:{sidx}"]},
+        "entry_point_error_mm": {"per_screw": entry, "target": entry[f"{vid}:{sidx}"]},
+        "success_rate": sum(map(_safe, target)) / len(target),
+        "updated_fraction": len(updated) / max(1, len(frames) - 1),
+        "viewpoint_angle_deg": angle,
+        "viewpoint_acceptable": angle < metrics.MAX_VIEWPOINT_ANGLE_DEG,
+        "all_screws_safe_after_start": all(map(_safe, judged_depths)),
+        "max_perforation_mm": max((float(d) for d in judged_depths if d), default=None),
+    }
+
+
+def _evaluate(rec, poses, out) -> dict:
+    rc = cli.main(["evaluate", "--recording", str(rec), "--poses", str(poses),
+                   "--out", str(out)])
+    assert rc == 0
+    return json.loads((out / "summary.json").read_text())
+
+
+def test_evaluate_summary_is_the_recomputation_from_its_csvs(recording_dir, tmp_path):
+    poses = tmp_path / "poses.csv"
+    _perturbed_poses(recording_dir, poses, invalid={(2, 2)},
+                     held={(4, metrics.TARGET_VERTEBRA)})
+    summary = _evaluate(recording_dir, poses, tmp_path / "out")
+    assert summary == _summary_from_csvs(recording_dir, tmp_path / "out")
+    # the perturbation exercises every branch the figures take
+    assert 0.0 < summary["success_rate"] < 1.0
+    assert 0.0 < summary["updated_fraction"] < 1.0
+    assert not summary["all_screws_safe_after_start"]
+    # every CSV row is vertebra_errors' of its pose row
+    rec = formats.LoadedRecording(recording_dir)
+    est = formats.poses_by_frame(formats.read_poses(poses))
+    by_id = {m.id: m for m in rec.models}
+    screw_rows = iter(_csv_rows(tmp_path / "out" / "screw_metrics.csv"))
+    for r in _csv_rows(tmp_path / "out" / "frame_metrics.csv"):
+        f, vid = int(r["frame"]), int(r["vertebra"])
+        row = est[f][vid]
+        if not row.valid:
+            assert (r["valid"], r["updated"], r["tre_mm"]) == ("0", "0", "")
+            continue
+        t, screws = metrics.vertebra_errors(by_id[vid], rec.gt_pose(vid, f), row.pose)
+        assert (r["valid"], r["updated"], r["tre_mm"]) == ("1", str(int(row.updated)),
+                                                           repr(t))
+        for sidx, (traj, entry, depth) in enumerate(screws):
+            s = next(screw_rows)
+            assert s == {"frame": str(f), "vertebra": str(vid), "screw": str(sidx),
+                         "traj_err_deg": repr(traj), "entry_err_mm": repr(entry),
+                         "perforation_mm": "" if depth is None else repr(depth),
+                         "safe": str(int(metrics.is_safe(depth)))}
+    assert next(screw_rows, None) is None
+
+
+@pytest.mark.parametrize("invalid", [
+    {(1, 1)},
+    {(f, 2) for f in range(1, 61)},
+    {(f, 4) for f in range(61, 65)},
+], ids=["vertebra 1 on frame 1", "vertebra 2 on frames 1-60",
+        "vertebra 4 on frames 61-64"])
+def test_evaluate_judges_each_tail_by_frame_number(long_recording, tmp_path, invalid):
+    whole, poses = tmp_path / "whole.csv", tmp_path / "poses.csv"
+    _perturbed_poses(long_recording, whole)
+    _perturbed_poses(long_recording, poses, invalid=invalid)
+    summary = _evaluate(long_recording, poses, tmp_path / "out")
+    assert summary == _summary_from_csvs(long_recording, tmp_path / "out")
+    assert summary["tre_start_frame"] == 61
+    # a vertebra's rows before frame 61 do not count, so one valid on
+    # frames 61-64 scores as it does with every row valid, and one invalid
+    # on all of them is left out
+    full = _evaluate(long_recording, whole, tmp_path / "whole")
+    judged = {str(v) for v in range(1, 6)} - {str(v) for f, v in invalid if f >= 61}
+    assert set(summary["tre_mm"]["per_vertebra"]) == judged
+    for section, table in (("tre_mm", "per_vertebra"), ("trajectory_error_deg", "per_screw"),
+                           ("entry_point_error_mm", "per_screw")):
+        assert {k: v for k, v in full[section][table].items()
+                if k.split(":")[0] in judged} == summary[section][table]
+
+
+def test_register_perturbs_the_initial_pose_as_the_library_does(recording_dir, tmp_path):
+    assert cli.main(["register", "--recording", str(recording_dir), "--out", str(tmp_path),
+                     "--perturb-initial", "2:1:7"]) == 0
+    rec = formats.LoadedRecording(recording_dir)
+    states = run_recording(rec, rec.models, sim.oracle_segmenter, RegistrationConfig(),
+                           initial_perturbation=sim.perturbation(
+                               np.random.default_rng(7), math.radians(2), 1))
+    want = [formats.PoseRow(s.frame_index, vid, True, tr.updated, tr.pose)
+            for s in states for vid, tr in sorted(s.vertebrae.items())]
+    got = formats.read_poses(tmp_path / "poses.csv")
+    assert len(got) == len(want) == 25
+    assert all(_same_row(a, b) for a, b in zip(got, want))
+    unperturbed = tmp_path / "plain"
+    assert cli.main(["register", "--recording", str(recording_dir),
+                     "--out", str(unperturbed)]) == 0
+    assert (unperturbed / "poses.csv").read_bytes() != (tmp_path / "poses.csv").read_bytes()
+
+
+def test_simulate_deform_offsets_and_turns_that_vertebra(tmp_path):
+    out = tmp_path / "rec"
+    assert cli.main(["simulate", "--frames", "2", "--deform", "2:1,0,0:0,0,5",
+                     "--out", str(out)]) == 0
+    gt = formats.poses_by_frame(formats.read_poses(out / "gt_poses.csv"))
+    offset = RigidTransform(axis_angle_quat(np.array([0.0, 0.0, 1.0]), math.radians(5)),
+                            np.array([1.0, 0.0, 0.0]))
+    for f in (1, 2):
+        base = gt[f][1].pose
+        assert all(_same_row(gt[f][vid], gt[f][1]) for vid in (1, 3, 4, 5))
+        assert formats.pose_line(gt[f][2]) == formats.pose_line(
+            formats.PoseRow(f, 2, True, True, offset.compose(base)))
+
+
+def test_register_on_an_empty_initial_mask_writes_only_the_headers(
+        recording_dir, tmp_path, capsys):
+    rec = tmp_path / "rec"
+    shutil.copytree(recording_dir, rec)
+    mask = rec / "frames" / "f000001.msk"
+    formats.write_mask(mask, np.zeros_like(formats.read_mask(mask)))
+    out = tmp_path / "out"
+    assert cli.main(["register", "--recording", str(rec), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "EmptyMaskError"
+    assert (out / "poses.csv").read_text() == formats.POSES_HEADER + "\n"
+    assert ((out / "state_log.csv").read_text()
+            == "frame,vertebra,inliers,baseline,updated,frozen\n")
 
 
 # every subcommand's options; adding or removing one is an edit here

@@ -15,8 +15,8 @@ def drifting_recording(coarse_scene):
 
 
 def reference_series(rec, models, cfg, mode):
-    """The ablation's definition, from ``mode``'s own run: TRE of the poses
-    it shows on each frame. The mode updates on its first
+    """The ablation's definition, from ``mode``'s own run: ``(frame, TRE)``
+    of the poses it shows on each frame. The mode updates on its first
     ``UPDATE_FRAMES[mode]`` interaction frames (on all when None) and holds
     the poses after the last of them; General shows the en-bloc pose."""
     limit = metrics.UPDATE_FRAMES[mode]
@@ -27,7 +27,8 @@ def reference_series(rec, models, cfg, mode):
         for vid, track in state.vertebrae.items():
             pose = state.en_bloc if mode == "General" else track.pose
             gt = rec.gt_pose(vid, frame_index)
-            series[vid].append(metrics.tre(gt, pose, by_id[vid].landmarks))
+            series[vid].append((frame_index,
+                                metrics.tre(gt, pose, by_id[vid].landmarks)))
 
     frames = iter(rec)
     first = next(frames)
@@ -71,9 +72,19 @@ def test_ablation_registers_the_initial_frame_once(monkeypatch, coarse_scene,
 
 
 def test_recording_tre_is_the_mean_from_the_start_frame():
-    assert metrics.recording_tre([9.0, 1.0, 2.0], start_frame=2) == 1.5
+    assert metrics.recording_tre([(1, 9.0), (2, 1.0), (3, 2.0)], start_frame=2) == 1.5
     with pytest.raises(ValueError):
-        metrics.recording_tre([1.0], start_frame=2)
+        metrics.recording_tre([(1, 1.0)], start_frame=2)
+
+
+def test_recording_tre_judges_by_frame_number_not_by_position():
+    # frame 1 has no row (it was invalid): from frame 3 on means frames 3
+    # and 4, where the third row on would be frame 4 alone
+    rows = [(2, 9.0), (3, 4.0), (4, 8.0)]
+    assert metrics.recording_tre(rows, start_frame=3) == 6.0
+    assert metrics.recording_tre(rows, start_frame=1) == 7.0
+    with pytest.raises(ValueError):
+        metrics.recording_tre(rows, start_frame=5)
 
 
 @pytest.mark.parametrize("normal,want", [([0.0, 0.0, 2.0], 0.0), ([0.0, 0.0, -1.0], 0.0),
@@ -105,15 +116,30 @@ def gt_pose():
                           np.array([10.0, -20.0, 350.0]))
 
 
+def _errors(gt_pose, est, landmarks, entry, direction):
+    """``vertebra_errors`` of a model with ``landmarks`` and one screw plan."""
+    model = register.VertebraModel(
+        id=1, points=landmarks, normals=np.zeros_like(landmarks),
+        reg_indices=np.arange(len(landmarks)), landmarks=landmarks,
+        pedicle_indices=np.array([], dtype=np.int64),
+        screw_plans=(register.ScrewPlan(entry, direction, 3.0, 40.0),))
+    tre, [(traj, entry_err, depth)] = metrics.vertebra_errors(model, gt_pose, est)
+    assert depth is None
+    return tre, traj, entry_err
+
+
+_LANDMARKS = np.array([[0.0, 0.0, 0.0], [30.0, -5.0, 2.0], [-7.0, 12.0, 40.0]])
+
+
 def test_a_pure_translation_gives_its_length_as_every_error(gt_pose):
-    landmarks = np.array([[0.0, 0.0, 0.0], [30.0, -5.0, 2.0], [-7.0, 12.0, 40.0]])
     shift = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.array([3.0, 4.0, 12.0]))
     est = shift.compose(gt_pose)
-    assert metrics.tre(gt_pose, est, landmarks) == pytest.approx(13.0, abs=1e-9)
-    assert metrics.entry_point_error(landmarks[1], gt_pose, est) == pytest.approx(
-        13.0, abs=1e-9)
-    assert metrics.trajectory_error(np.array([0.0, 1.0, 1.0]), gt_pose, est) == (
-        pytest.approx(0.0, abs=1e-5))
+    assert metrics.tre(gt_pose, est, _LANDMARKS) == pytest.approx(13.0, abs=1e-9)
+    tre, traj, entry = _errors(gt_pose, est, _LANDMARKS, _LANDMARKS[1],
+                               np.array([0.0, 1.0, 1.0]))
+    assert tre == pytest.approx(13.0, abs=1e-9)
+    assert entry == pytest.approx(13.0, abs=1e-9)
+    assert traj == pytest.approx(0.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("angle_deg", [5.0, 40.0])
@@ -124,10 +150,9 @@ def test_a_turn_about_the_screw_axis_moves_neither_trajectory_nor_entry(
     to_entry = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), entry)
     turn = RigidTransform(axis_angle_quat(direction, np.radians(angle_deg)), np.zeros(3))
     est = gt_pose.compose(to_entry).compose(turn).compose(to_entry.inverse())
-    assert metrics.trajectory_error(direction, gt_pose, est) == pytest.approx(
-        0.0, abs=1e-5)
-    assert metrics.entry_point_error(entry, gt_pose, est) == pytest.approx(
-        0.0, abs=1e-9)
+    _, traj, entry_err = _errors(gt_pose, est, _LANDMARKS, entry, direction)
+    assert traj == pytest.approx(0.0, abs=1e-5)
+    assert entry_err == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("angle_deg", [5.0, 40.0])
@@ -136,8 +161,11 @@ def test_a_turn_across_the_screw_axis_tilts_the_trajectory_by_its_angle(
     direction, across = np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
     est = gt_pose.compose(RigidTransform(
         axis_angle_quat(across, np.radians(angle_deg)), np.zeros(3)))
-    assert metrics.trajectory_error(direction, gt_pose, est) == pytest.approx(
-        angle_deg, abs=1e-9)
+    # the entry point sits on the rotation axis (the model origin), so only
+    # the trajectory moves
+    _, traj, entry_err = _errors(gt_pose, est, _LANDMARKS, np.zeros(3), direction)
+    assert traj == pytest.approx(angle_deg, abs=1e-9)
+    assert entry_err == pytest.approx(0.0, abs=1e-9)
 
 
 def _first_perforation(pedicle_points, screw, gt, est):
@@ -156,7 +184,7 @@ def _first_perforation(pedicle_points, screw, gt, est):
     return float(depth.max())
 
 
-def test_vertebra_errors_equal_the_four_metric_functions_bit_for_bit(coarse_scene):
+def test_vertebra_errors_equal_tre_and_perforation_bit_for_bit(coarse_scene):
     rng = np.random.default_rng(12)
     depths = []
     for model in coarse_scene.models:
@@ -166,9 +194,7 @@ def test_vertebra_errors_equal_the_four_metric_functions_bit_for_bit(coarse_scen
             t, screws = metrics.vertebra_errors(model, gt, est)
             assert repr(t) == repr(metrics.tre(gt, est, model.landmarks))
             assert len(screws) == len(model.screw_plans)
-            for plan, (traj, entry, depth) in zip(model.screw_plans, screws):
-                assert repr(traj) == repr(metrics.trajectory_error(plan.direction, gt, est))
-                assert repr(entry) == repr(metrics.entry_point_error(plan.entry, gt, est))
+            for plan, (_, _, depth) in zip(model.screw_plans, screws):
                 want = metrics.perforation(model.pedicle_points, plan, gt, est)
                 assert repr(depth) == repr(want)
                 assert repr(want) == repr(_first_perforation(

@@ -110,6 +110,32 @@ class TestPosteriorVisible:
         sel = sim.select_posterior_visible(pts, normals, [0.0, 0.0, -1.0])
         assert set(sel) == set(range(near.shape[0]))
 
+    @pytest.mark.parametrize("view_dir", [[0.0, 0.0, -1.0], [0.95, 0.1, -0.3]])
+    def test_keeps_what_a_per_point_loop_keeps(self, view_dir):
+        # about 20 points per 0.5 mm cell, spread over 2 mm of depth, so each
+        # cell has points inside and outside the tolerance; the reference
+        # takes the same projections and groups them one point at a time
+        rng = np.random.default_rng(3)
+        pts = rng.uniform([0.0, 0.0, 0.0], [5.0, 5.0, 2.0], size=(2000, 3))
+        normals = rng.normal(size=(2000, 3))
+        view = np.asarray(view_dir) / np.linalg.norm(view_dir)
+        a = np.array([1.0, 0.0, 0.0]) if abs(view[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        u = np.cross(view, a)
+        u /= np.linalg.norm(u)
+        v = np.cross(view, u)
+        facing = np.nonzero(normals @ view < 0.0)[0]
+        p = pts[facing]
+        cells = list(zip(np.floor((p @ u) / sim.VISIBLE_GRID_MM).tolist(),
+                         np.floor((p @ v) / sim.VISIBLE_GRID_MM).tolist()))
+        depths = (p @ view).tolist()
+        nearest = {}
+        for cell, d in zip(cells, depths):
+            nearest[cell] = min(nearest.get(cell, math.inf), d)
+        want = [int(i) for i, cell, d in zip(facing, cells, depths)
+                if d <= nearest[cell] + sim.VISIBLE_DEPTH_TOL_MM]
+        assert 0 < len(want) < facing.size
+        assert sim.select_posterior_visible(pts, normals, view_dir).tolist() == want
+
 
 def _full_image_frame(rec, f):
     """Depth, mask, prior and tool corners of frame ``f`` by the simulator's
@@ -203,3 +229,10 @@ def test_an_occluder_off_the_image_fills_no_pixel(coarse_scene):
         rec = sim.render_recording(coarse_scene, sim.RecordingSpec(frames=2, occluders=[occ]),
                                    seed=1)
         assert rec.frame(2).depth.tobytes() == plain.frame(2).depth.tobytes()
+
+
+def test_an_unknown_motion_kind_is_refused_when_the_spec_is_made():
+    with pytest.raises(ValueError, match="sinus"):
+        sim.MotionSpec(kind="sinus")
+    for kind in ("none", "sine", "drift"):
+        sim.MotionSpec(kind=kind)
