@@ -125,8 +125,68 @@ def voxel_subsample(points: np.ndarray, size_mm: float) -> np.ndarray:
     return np.sort(first)
 
 
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of an (N, 3) array, which it overwrites
+    with its squares. The squares are summed as cKDTree sums a squared
+    distance, so a pair's length has the tree's bits."""
+    d *= d
+    return np.sqrt((d[:, 0] + d[:, 1]) + d[:, 2])
+
+
+def _inside(queries: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, 3) array lie inside the box [lo, hi]."""
+    (x0, y0, z0), (x1, y1, z1) = lo.tolist(), hi.tolist()
+    x, y, z = queries[:, 0], queries[:, 1], queries[:, 2]
+    # six 1-D compares cost a third of one (N, 3) compare and an all()
+    return (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1) & (z >= z0) & (z <= z1)
+
+
+class QueryCache:
+    """What one ICP loop's queries last found, per scene point.
+
+    Sized to the loop's fixed scene of ``n`` points and handed to
+    ``NearestNeighborIndex.query`` on every iteration, with the same index
+    and ``max_dist``; the scene may be re-posed between calls. For each
+    point it keeps the position of its last search (``at``), the neighbour
+    found there (``nbr``, -1 for none) and how far the point may move from
+    ``at`` before that answer has to be searched again (``slack``).
+    """
+
+    def __init__(self, n: int):
+        self.at = np.zeros((n, 3))
+        self.nbr = np.full(n, -1, dtype=np.intp)
+        self.slack = np.full(n, -np.inf)
+        self.owner = None
+
+
 class NearestNeighborIndex:
-    """Immutable KD-tree over a reference cloud; safe for concurrent queries."""
+    """Immutable KD-tree over a reference cloud; safe for concurrent queries,
+    each with its own cache if any.
+
+    A ``QueryCache`` passed to ``query`` lets a loop over one fixed scene
+    skip the tree for every point whose answer provably cannot have changed
+    since its last search:
+
+    - a point that found its nearest reference point at distance d1, with
+      the second nearest at d2 (``max_dist`` when there is none within
+      ``max_dist``), keeps that neighbour while it has moved less than
+      (d2 - d1) / 2: the neighbour is then still strictly the nearest;
+    - a point outside the padded box keeps having no neighbour while it has
+      moved less than its distance to that box.
+
+    The box distance is shrunk by 1e-7 of itself and the half gap by 1e-7 of
+    d2. Each length in these tests is a difference of two stored points, so
+    its rounding error is a few ulps of that length, not of the coordinates;
+    the margins lie far above that, so rounding cannot flip a test. A point
+    with no neighbour inside the box, or with two neighbours at exactly the
+    same distance, is searched on every call. The distance of every kept
+    pair is summed again as the tree sums it, so the result has the bytes
+    of the call without a cache.
+
+    A cache only pays in a loop over one scene. A single query of a new
+    cloud, as each interaction frame's ``register.update_pose`` makes,
+    takes none and goes to the tree with ``k=1``.
+    """
 
     def __init__(self, reference: np.ndarray):
         reference = np.asarray(reference, dtype=float).reshape(-1, 3)
@@ -137,11 +197,14 @@ class NearestNeighborIndex:
         self._hi = reference.max(axis=0)
         self._tree = cKDTree(reference)
 
-    def query(self, queries: np.ndarray, max_dist: float
+    def query(self, queries: np.ndarray, max_dist: float,
+              cache: QueryCache | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest reference point per query, kept only strictly within max_dist.
 
-        Returns (query_indices, reference_indices, distances).
+        Returns (query_indices, reference_indices, distances). ``cache``,
+        if given, must be sized to ``queries`` and used only with this
+        index and this ``max_dist``; the result is the same either way.
         """
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         # a query outside the reference's bounding box widened by max_dist
@@ -150,14 +213,52 @@ class NearestNeighborIndex:
         pad = max_dist * (1.0 + 1e-9)
         lo = np.nextafter(self._lo - pad, -np.inf)
         hi = np.nextafter(self._hi + pad, np.inf)
-        (x0, y0, z0), (x1, y1, z1) = lo.tolist(), hi.tolist()
-        x, y, z = queries[:, 0], queries[:, 1], queries[:, 2]
-        # six 1-D compares cost a third of one (N, 3) compare and an all()
-        near = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-                              & (z >= z0) & (z <= z1))
-        dist, idx = self._tree.query(queries[near], k=1,
-                                     distance_upper_bound=max_dist, workers=1)
-        # scipy keeps d**2 < max_dist**2, but sqrt(d**2) can round up to
-        # max_dist; a missing neighbour is inf and fails the test too
+        if cache is None:
+            near = np.flatnonzero(_inside(queries, lo, hi))
+            dist, idx = self._tree.query(queries.take(near, axis=0), k=1,
+                                         distance_upper_bound=max_dist, workers=1)
+            # scipy keeps d**2 < max_dist**2, but sqrt(d**2) can round up to
+            # max_dist; a missing neighbour is inf and fails the test too
+            found = dist < max_dist
+            return near[found], idx[found], dist[found]
+
+        if cache.owner is None:
+            cache.owner = (self, max_dist)
+        if cache.owner != (self, max_dist) or cache.at.shape != queries.shape:
+            raise ValueError("a QueryCache serves one index, one max_dist and "
+                             "one number of queries")
+        stale = np.flatnonzero(~(_norms(queries - cache.at) < cache.slack))
+        q = queries.take(stale, axis=0)
+        cache.at[stale] = q
+        inside = _inside(q, lo, hi)
+        # a point outside the box stays outside while it moves less than
+        # its distance to the box
+        out = ~inside
+        qf, far = q[out], stale[out]
+        cache.nbr[far] = -1
+        cache.slack[far] = _norms(np.maximum(np.maximum(lo - qf, qf - hi), 0.0)
+                                  ) * (1.0 - 1e-7)
+
+        near = np.flatnonzero(inside)
+        qn, searched = q.take(near, axis=0), stale.take(near)
+        dist, idx = self._tree.query(qn, k=2, distance_upper_bound=max_dist,
+                                     workers=1)
+        d1, d2 = dist[:, 0], np.minimum(dist[:, 1], max_dist)
+        nbr = idx[:, 0]
+        # of two neighbours at one distance, k=2 may list first the one that
+        # k=1 does not return
+        tie = np.flatnonzero(d1 == d2)
+        if tie.size:
+            nbr[tie] = self._tree.query(qn.take(tie, axis=0), k=1,
+                                        distance_upper_bound=max_dist,
+                                        workers=1)[1]
+        nbr[d1 == np.inf] = -1
+        cache.nbr[searched] = nbr
+        # a miss has d1 = inf and so a slack of -inf: it is searched again
+        cache.slack[searched] = (d2 - d1) * 0.5 - d2 * 1e-7
+
+        has = np.flatnonzero(cache.nbr >= 0)
+        ridx = cache.nbr.take(has)
+        dist = _norms(queries.take(has, axis=0) - self.reference.take(ridx, axis=0))
         found = dist < max_dist
-        return near[found], idx[found], dist[found]
+        return has[found], ridx[found], dist[found]

@@ -324,13 +324,18 @@ def _read_rows(path, header: str, n_fields: int, parse, key) -> list:
 
 def _pose_row(parts: list[str]) -> PoseRow:
     vals = [float(v) for v in parts[4:]]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("non-finite pose value")
+    if not any(vals[:4]):
+        raise ValueError("zero quaternion")
     return PoseRow(int(parts[0]), int(parts[1]), bool(int(parts[2])),
                    bool(int(parts[3])),
                    RigidTransform(np.array(vals[:4]), np.array(vals[4:])))
 
 
 def read_poses(path) -> list[PoseRow]:
-    """Rows of a pose table; a repeated (frame, slot) pair is a FormatError."""
+    """Rows of a pose table; a repeated (frame, slot) pair, a non-finite
+    value or an all-zero quaternion is a FormatError."""
     return _read_rows(path, POSES_HEADER, 11, _pose_row,
                       key=lambda r: (r.frame, r.slot))
 

@@ -162,16 +162,18 @@ class RigidTransform:
         return transform_points(quat_to_matrix(self.q), self.t, points)
 
 
-def transform_points(r: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
+def transform_points(r: np.ndarray, t: np.ndarray, points: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Points (3,) or (N, 3) mapped through r @ p + t, as RigidTransform.apply
-    maps them; for a caller that reuses one rotation matrix."""
+    maps them; for a caller that reuses one rotation matrix. An (N, 3)
+    result is written into ``out`` when given, with the same bytes."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         return r @ pts + t
     # a C-contiguous r.T gives the same bytes as the transposed view in
     # a third of the time, and three column adds the same bytes as the
     # (N, 3) + (3,) broadcast in about two thirds of it
-    out = pts @ r.T.copy()
+    out = np.matmul(pts, r.T.copy(), out=out)
     out[:, 0] += t[0]
     out[:, 1] += t[1]
     out[:, 2] += t[2]

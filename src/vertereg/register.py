@@ -27,6 +27,14 @@ subset of the scene into the coarse subset of the models. The prior's
 centroid is taken over the full segmented cloud, and the refinement, its
 baseline and every interaction-frame update match the full cloud into the
 full registration subset, which sets the final accuracy.
+
+Both ICP loops of the initial frame re-pose one fixed scene on every
+iteration, and late in a loop most scene points barely move. Each loop
+therefore passes one ``QueryCache`` to every query: a point whose nearest
+model point provably cannot have changed since its last search keeps it
+without a tree search, and the pairs are the bytes that searching every
+point would give. ``update_pose`` makes one query per vertebra on a new
+frame's cloud, so it has no earlier answer to keep and takes no cache.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cloud import (NearestNeighborIndex, centroid, depth_to_cloud,
+from .cloud import (NearestNeighborIndex, QueryCache, centroid, depth_to_cloud,
                     largest_component, voxel_subsample)
 from .geom import (RigidTransform, pose_difference, quat_mul, quat_normalize,
                    umeyama)
@@ -172,15 +180,16 @@ class RegistrationState:
 
 
 def _gated_pairs(index: NearestNeighborIndex, pose: RigidTransform,
-                 scene: np.ndarray, gate: float
+                 scene: np.ndarray, gate: float, cache: QueryCache | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scene points strictly within ``gate`` of the model posed by ``pose``.
 
     The scene is mapped into the model frame by the inverse pose and each
-    of its points takes its nearest point of ``index``. Returns (model
-    indices, scene indices, distances).
+    of its points takes its nearest point of ``index``; ``cache`` is the
+    calling loop's ``QueryCache``. Returns (model indices, scene indices,
+    distances).
     """
-    sidx, midx, dist = index.query(pose.inverse().apply(scene), gate)
+    sidx, midx, dist = index.query(pose.inverse().apply(scene), gate, cache)
     return midx, sidx, dist
 
 
@@ -200,15 +209,18 @@ def general_alignment(index: NearestNeighborIndex, t_init: RigidTransform,
     """
     pose = t_init.normalized()
     identity = RigidTransform.identity()
+    cache = QueryCache(len(scene))
     for it in range(cfg.general_max_iters):
-        midx, sidx, _ = _gated_pairs(index, pose, scene, cfg.general_max_corr)
+        midx, sidx, _ = _gated_pairs(index, pose, scene, cfg.general_max_corr,
+                                     cache)
         if midx.size < 3:
             if it == 0:
                 raise NoOverlapError(
                     f"no correspondences within {cfg.general_max_corr} mm at the "
                     "initial pose")
             break
-        delta = umeyama(pose.apply(index.reference[midx]), scene[sidx])
+        delta = umeyama(pose.apply(index.reference.take(midx, axis=0)),
+                        scene.take(sidx, axis=0))
         pose = delta.compose(pose)
         angle, dist = pose_difference(delta, identity)
         if angle + dist < cfg.epsilon:
@@ -229,15 +241,17 @@ def piecewise_refine(model: VertebraModel, t_gen: RigidTransform,
     """
     pose = t_gen.normalized()
     prev_mean = np.inf
+    cache = QueryCache(len(scene))
     for it in range(cfg.piecewise_max_iters + 1):
         midx, sidx, dist = _gated_pairs(model.index, pose, scene,
-                                        cfg.piecewise_inlier)
+                                        cfg.piecewise_inlier, cache)
         if midx.size < 3:
             raise RefinementDegenerateError(model.id, it)
         mean = float(dist.mean())
         if prev_mean - mean <= cfg.epsilon or it == cfg.piecewise_max_iters:
             return pose, int(midx.size)
-        delta = umeyama(pose.apply(model.reg_points[midx]), scene[sidx])
+        delta = umeyama(pose.apply(model.reg_points.take(midx, axis=0)),
+                        scene.take(sidx, axis=0))
         pose = delta.compose(pose)
         prev_mean = mean
 
@@ -255,7 +269,8 @@ def update_pose(track: VertebraTrack, model: VertebraModel, scene: np.ndarray,
     count = int(midx.size)
     if count < 3 or count < cfg.update_gate * track.baseline_inliers:
         return replace(track, updated=False, inliers=count)
-    delta = umeyama(track.pose.apply(model.reg_points[midx]), scene[sidx])
+    delta = umeyama(track.pose.apply(model.reg_points.take(midx, axis=0)),
+                    scene.take(sidx, axis=0))
     return replace(track, pose=delta.compose(track.pose), updated=True, inliers=count)
 
 

@@ -583,6 +583,37 @@ def test_evaluate_reports_a_malformed_pose_table_as_format_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("table", ["--poses", "gt_poses.csv"])
+@pytest.mark.parametrize("field, value", [(4, "nan"), (9, "inf"), (None, "0.0")],
+                         ids=["nan quaternion", "inf translation", "zero quaternion"])
+def test_a_non_finite_or_zero_quaternion_pose_is_a_format_error_at_its_row(
+        long_recording, tmp_path, capsys, table, field, value):
+    rec = tmp_path / "rec"
+    shutil.copytree(long_recording, rec)
+    poses = tmp_path / "poses.csv" if table == "--poses" else rec / "gt_poses.csv"
+    lines = (long_recording / "gt_poses.csv").read_text().splitlines(keepends=True)
+    # a judged row of the target vertebra
+    row = next(i for i, line in enumerate(lines) if line.startswith(
+        f"{metrics.TRE_START_FRAME + 1},{metrics.TARGET_VERTEBRA},"))
+    parts = lines[row].rstrip("\n").split(",")
+    for j in ([field] if field is not None else range(4, 8)):
+        parts[j] = value
+    lines[row] = ",".join(parts) + "\n"
+    poses.write_text("".join(lines))
+    out = tmp_path / "out"
+    rc = cli.main(["evaluate", "--recording", str(rec), "--poses",
+                   str(tmp_path / "poses.csv" if table == "--poses"
+                       else long_recording / "gt_poses.csv"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "format"
+    assert doc["file"] == str(poses)
+    assert doc["offset"] == sum(len(line) for line in lines[:row])
+    assert not out.exists()
+
+
 def _perturbed_poses(rec, poses, invalid=(), held=()):
     """``poses`` holding the ground truth moved off by a frame-dependent turn
     and shift in the model frame, twice as far before frame 61 as from it

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import random_unit_quat
 from vertereg import cloud, maskgen
 from vertereg.cloud import CameraIntrinsics
-from vertereg.geom import RigidTransform
+from vertereg.geom import RigidTransform, axis_angle_quat
 
 
 INTR = CameraIntrinsics(fx=300.0, fy=300.0, cx=64.0, cy=48.0, width=128, height=96)
@@ -331,3 +333,98 @@ class TestNearestNeighbors:
         _, _, d_big = cloud.NearestNeighborIndex(np.vstack([small, extra])).query(
             queries, np.inf)
         assert (d_big <= d_small + 1e-12).all()
+
+
+def _lattice(spacing: float, n: int) -> np.ndarray:
+    g = np.arange(-n, n + 1) * spacing
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _cache_case(kind: str, gate: float, rng: np.random.Generator):
+    """A reference cloud and a scene around it, with points just outside
+    the reference's box widened by ``gate`` so that motion carries them in.
+
+    On a lattice the scene sits on half-spacing offsets, so many points have
+    two or more nearest reference points at exactly the same distance.
+    """
+    if kind == "random":
+        ref = rng.normal(0.0, [12.0, 20.0, 6.0], (600, 3))
+        scene = ref[rng.integers(0, len(ref), 300)] + rng.normal(0.0, 1.5, (300, 3))
+    else:
+        ref = _lattice(1.0, 5)
+        rng.shuffle(ref)
+        scene = rng.integers(-12, 13, (300, 3)) * 0.5
+    lo, hi = ref.min(axis=0) - gate, ref.max(axis=0) + gate
+    around = rng.uniform(lo - 6.0, hi + 6.0, (400, 3))
+    outside = ~((around >= lo) & (around <= hi)).all(axis=1)
+    return ref, np.vstack([scene, around[outside]])
+
+
+# one rigid motion of the scene: (translation mm, rotation deg, on the grid);
+# a motion on the grid has no rotation and moves by whole half-millimetres,
+# so it keeps the lattice scene's exact ties
+_MOTION = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2.0), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "lattice"]), gate=st.sampled_from([2.0, 5.0]),
+       seed=st.integers(0, 2**32 - 1), motions=st.lists(_MOTION, min_size=1, max_size=12))
+def test_a_cached_query_returns_the_bytes_of_the_uncached_one(kind, gate, seed, motions):
+    rng = np.random.default_rng(seed)
+    ref, queries = _cache_case(kind, gate, rng)
+    index = cloud.NearestNeighborIndex(ref)
+    cache = cloud.QueryCache(len(queries))
+    for step, (mm, deg, grid) in enumerate([(0.0, 0.0, True)] + motions):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        if grid:
+            motion = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]),
+                                    np.round(direction * mm * 2.0) / 2.0)
+        else:
+            motion = RigidTransform(axis_angle_quat(rng.normal(size=3), np.radians(deg)),
+                                    direction * mm)
+        queries = motion.apply(queries)
+        got = index.query(queries, gate, cache)
+        want = index.query(queries, gate)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), step
+
+
+def test_a_lattice_scene_has_exact_ties_and_cached_points():
+    # the property above only exercises what its cases reach: here the
+    # lattice gives neighbours at one distance, and a still scene keeps
+    # most of its answers without the tree
+    rng = np.random.default_rng(4)
+    ref, queries = _cache_case("lattice", 2.0, rng)
+    index = cloud.NearestNeighborIndex(ref)
+    dist, _ = index._tree.query(queries, k=2, distance_upper_bound=2.0)
+    assert (dist[:, 0] == dist[:, 1]).sum() > 100
+    cache = cloud.QueryCache(len(queries))
+    index.query(queries, 2.0, cache)
+    sent = []
+    tree = index._tree
+
+    class Spy:
+        def query(self, x, **kwargs):
+            sent.append(len(x))
+            return tree.query(x, **kwargs)
+
+    index._tree = Spy()
+    moved = queries + 1e-3
+    got = index.query(moved, 2.0, cache)
+    want = cloud.NearestNeighborIndex(ref).query(moved, 2.0)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert 0 < sum(sent) < 0.5 * len(queries)
+
+
+def test_a_cache_serves_one_index_one_gate_and_one_scene_size():
+    rng = np.random.default_rng(2)
+    ref = rng.normal(0.0, 10.0, (100, 3))
+    index = cloud.NearestNeighborIndex(ref)
+    cache = cloud.QueryCache(50)
+    queries = rng.normal(0.0, 10.0, (50, 3))
+    index.query(queries, 2.0, cache)
+    for other, gate, q in ((cloud.NearestNeighborIndex(ref), 2.0, queries),
+                           (index, 5.0, queries), (index, 2.0, queries[:49])):
+        with pytest.raises(ValueError):
+            other.query(q, gate, cache)

@@ -357,3 +357,52 @@ def test_refinement_does_not_depend_on_the_order_of_the_scene(posed_vertebra,
                                                          default_cfg)
     assert shuffled_count == count
     assert _close(shuffled, pose, 1e-9)
+
+
+@pytest.fixture(scope="module")
+def noisy_tilted_frame(coarse_scene):
+    spec = sim.RecordingSpec(frames=1, depth_sigma=0.5, dropout=0.05, tilt_deg=4.0)
+    return sim.render_recording(coarse_scene, spec, seed=2).frame(1)
+
+
+def _state_bits(state):
+    return [(vid, t.pose.q.tobytes(), t.pose.t.tobytes(), t.baseline_inliers,
+             t.inliers, t.updated, t.frozen)
+            for vid, t in sorted(state.vertebrae.items())] + [
+        state.en_bloc.q.tobytes(), state.en_bloc.t.tobytes()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_initial_registration_is_the_same_with_every_point_searched_each_time(
+        monkeypatch, noisy_tilted_frame, coarse_scene, default_cfg, seed):
+    off = sim.perturbation(np.random.default_rng(seed), np.radians(5.0), 5.0)
+    args = (noisy_tilted_frame, coarse_scene.models, sim.oracle_segmenter, default_cfg)
+    cached = register.register_initial_frame(*args, initial_perturbation=off)
+    # no cache: every ICP iteration sends every scene point to the search
+    monkeypatch.setattr(register, "QueryCache", lambda n: None)
+    searched = register.register_initial_frame(*args, initial_perturbation=off)
+    assert _state_bits(cached) == _state_bits(searched)
+
+
+def test_en_bloc_alignment_moves_with_a_scene_shifted_by_whole_voxels(
+        noisy_tilted_frame, coarse_scene, default_cfg):
+    # the coarse subset's grid is anchored at the frame origin, so only a
+    # shift by whole COARSE_VOXEL_MM voxels keeps the same subset
+    pc = _initial_cloud(noisy_tilted_frame)
+    keep = cloud.voxel_subsample(pc, register.COARSE_VOXEL_MM)
+    assert not np.array_equal(cloud.voxel_subsample(pc + [1.0, 0.0, 0.0],
+                                                    register.COARSE_VOXEL_MM), keep)
+    combined = cloud.NearestNeighborIndex(np.vstack([m.coarse_points
+                                                     for m in coarse_scene.models]))
+    off = sim.perturbation(np.random.default_rng(5), np.radians(4.0), 4.0)
+    prior = RigidTransform(noisy_tilted_frame.oracle_quat, cloud.centroid(pc))
+    # turned about its centre and shifted, as register_initial_frame perturbs it
+    t_init = RigidTransform(off.compose(prior).q, prior.t + off.t)
+    base = register.general_alignment(combined, t_init, pc[keep], default_cfg)
+    for voxels in ([1, 0, 0], [-2, 3, 5], [50, -25, 18]):
+        shift = np.array(voxels) * register.COARSE_VOXEL_MM
+        moved = pc + shift
+        sub = moved[cloud.voxel_subsample(moved, register.COARSE_VOXEL_MM)]
+        got = register.general_alignment(
+            combined, RigidTransform(t_init.q, t_init.t + shift), sub, default_cfg)
+        assert _close(got, RigidTransform(base.q, base.t + shift), 1e-9), voxels

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -236,3 +237,32 @@ def test_an_unknown_motion_kind_is_refused_when_the_spec_is_made():
         sim.MotionSpec(kind="sinus")
     for kind in ("none", "sine", "drift"):
         sim.MotionSpec(kind=kind)
+
+
+def test_frame_renders_the_points_that_posing_each_model_and_stacking_gives(
+        coarse_scene, monkeypatch):
+    # the models are posed into one buffer kept across frames and
+    # recordings; what reaches the renderer must be the bytes of the stacked
+    # per-model poses, whatever frame or recording came before
+    motions = {1: BREATHING, 2: sim.MotionSpec("drift", (0.5, -1.0, 0.0)),
+               4: sim.MotionSpec("sine", (2.0, 0.0, 1.0), 0.7,
+                                 offset_rotvec=(0.05, 0.0, 0.02))}
+    spec = sim.RecordingSpec(frames=8, tilt_deg=-7.0, motions=motions)
+    three = sim.Scene(coarse_scene.models[1:4], coarse_scene.sensor_pose,
+                      coarse_scene.intrinsics)
+    recs = [sim.render_recording(scene, spec, seed=3) for scene in (coarse_scene, three)]
+    rendered = []
+
+    def spy(points, intr):
+        rendered.append(np.array(points, copy=True))
+        return maskgen.render_depth(points, intr)
+
+    monkeypatch.setattr(sim, "render_depth", spy)
+    # a new thread's buffer, first made for the smaller scene
+    monkeypatch.setattr(sim, "_POSE_BUFFERS", threading.local())
+    for rec, f in ((recs[1], 1), (recs[0], 5), (recs[0], 8), (recs[1], 7),
+                   (recs[0], 2), (recs[0], 5)):
+        rec.frame(f)
+        want = np.vstack([rec.gt_pose(m.id, f).apply(m.points)
+                          for m in rec.scene.models])
+        assert rendered[-1].tobytes() == want.tobytes(), f
